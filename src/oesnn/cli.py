@@ -9,8 +9,9 @@ Verbs::
     validate-eq6 --n N --k K         empirical check of the degree/path model
     membench [--tech FILE]           score memory technologies
 
-Exit codes: 0 success, 2 usage error, 3 scenario validation error.  The
-default output directory is $OESNN_OUT or ./out.
+Exit codes: 0 success, 2 usage error, 3 scenario validation error, 4
+simulation error (for example an exceeded event budget).  The default
+output directory is $OESNN_OUT or ./out.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .config import build_scenario, load_scenario
 from .datasets import Dataset
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SimulationError
 from .figures import FIGURES, build_figure
 from .linkbudget import (
     OpticalLink,
@@ -69,6 +70,7 @@ from .simulator import power_report, run
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
+SIMULATION_EXIT = 4
 
 
 class UsageError(Exception):
@@ -637,6 +639,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return SIMULATION_EXIT
 
 
 if __name__ == "__main__":

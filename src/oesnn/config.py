@@ -143,8 +143,8 @@ def validate_scenario(doc: dict) -> list[str]:
                 _check_unknown(er, {"n", "mean_degree"}, "network.er", problems)
                 n_nodes = _number(er, "n", "network.er", problems, required=True, minimum=2, integer=True)
                 k = _number(er, "mean_degree", "network.er", problems, required=True, minimum=0, exclusive=True)
-                if n_nodes and k and k >= n_nodes:
-                    problems.append("network.er.mean_degree: must be below n")
+                if n_nodes and k and k > n_nodes - 1:
+                    problems.append("network.er.mean_degree: must be at most n - 1")
         else:
             _check_unknown(net, {"n", "edges"}, "network", problems)
             n_nodes = _number(net, "n", "network", problems, required=True, minimum=1, integer=True)
@@ -190,6 +190,8 @@ def validate_scenario(doc: dict) -> list[str]:
         _number(link, "wavelength", "link", problems, minimum=0, exclusive=True)
         _number(link, "eta", "link", problems, minimum=0, maximum=1, exclusive=True)
         n_ph = _number(link, "n_ph", "link", problems, minimum=0)
+        if "stochastic" in link and not isinstance(link["stochastic"], bool):
+            problems.append("link.stochastic: expected a boolean")
         receiver_kind = (link.get("receiver") or {}).get("kind", "snspd") if isinstance(
             link.get("receiver", {}), dict
         ) else "snspd"

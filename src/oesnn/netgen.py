@@ -1,8 +1,9 @@
 """Random network generation and exact path-length measurement.
 
-The generator draws uniformly random graphs G(n, p) and the measurement
-side runs breadth-first search from every (or a sampled set of) source
-node(s), giving an empirical mean shortest path length to hold against the
+The generator draws exact G(n, p) graphs by geometric skip sampling, and
+the measurement side runs a bit-parallel breadth-first search, 64 sources
+per machine word, from every (or a sampled set of) source node(s).  That
+gives an empirical mean shortest path length to hold against the
 closed-form degree/path-length relation in :mod:`oesnn.scaling`.
 
 Graphs store a directed orientation (one synapse per undirected edge, coin
@@ -20,8 +21,6 @@ import numpy as np
 from .errors import DomainError
 from .rng import substream
 from .scaling import achievable_path_length
-
-_UNSET = -1
 
 
 @dataclass(frozen=True)
@@ -100,73 +99,35 @@ class PathStats:
     mean_stderr: float | None = None  # set when sources were sampled
 
 
-def _pair_from_index(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode linear indices over the i<j pair enumeration into (i, j)."""
-    t = t.astype(np.float64)
-    b = 2.0 * n - 1.0
-    i = np.floor((b - np.sqrt(b * b - 8.0 * t)) / 2.0).astype(np.int64)
-    # Guard against float rounding at row boundaries.
-    row_start = i * (2 * n - i - 1) // 2
-    too_far = row_start > t.astype(np.int64)
-    i[too_far] -= 1
-    row_start = i * (2 * n - i - 1) // 2
-    overshoot = t.astype(np.int64) - row_start >= (n - 1 - i)
-    i[overshoot] += 1
-    row_start = i * (2 * n - i - 1) // 2
-    j = t.astype(np.int64) - row_start + i + 1
-    return i, j
-
-
 def generate_er(n: int, mean_degree: float, seed: int) -> NetworkGraph:
     """Uniformly random graph with edge probability p = k/(n-1).
 
-    Deterministic for a fixed seed.  Each undirected edge is oriented into
-    a single directed synapse by an independent seeded coin flip.
+    Deterministic for a fixed seed.  Pair indices over the row-major i<j
+    enumeration are chosen by geometric skips (Batagelj & Brandes 2005),
+    which is exact G(n, p) in O(n + m).  Each undirected edge is oriented
+    into a single directed synapse by an independent seeded coin flip.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if not 0.0 < mean_degree < n:
-        raise DomainError(f"mean_degree must lie in (0, n), got {mean_degree}")
+    if not 0.0 < mean_degree <= n - 1:
+        raise DomainError(f"mean_degree must lie in (0, n-1], got {mean_degree}")
     p = mean_degree / (n - 1)
     n_pairs = n * (n - 1) // 2
     rng = substream(seed, "er-edges")
-    m = int(rng.binomial(n_pairs, p))
-    # Sample m distinct pair indices by rejection; m << n_pairs in the
-    # sparse regime this generator targets.
-    chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < m:
-        need = m - chosen.size
-        draw = rng.integers(0, n_pairs, size=int(need * 1.1) + 16, dtype=np.int64)
-        chosen = np.unique(np.concatenate([chosen, draw]))[:m] if chosen.size else np.unique(draw)[:m]
-    chosen = np.sort(chosen)
-    u, v = _pair_from_index(chosen, n)
-    flip = substream(seed, "er-orientation").random(m) < 0.5
+    expected = n_pairs * p
+    chunk = int(expected + 6 * np.sqrt(expected) + 16)
+    chosen = np.cumsum(rng.geometric(p, size=chunk)) - 1
+    while chosen[-1] < n_pairs:
+        chosen = np.concatenate([chosen, chosen[-1] + np.cumsum(rng.geometric(p, size=chunk))])
+    chosen = chosen[chosen < n_pairs]
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(row_start, chosen, side="right") - 1
+    v = chosen - row_start[u] + u + 1
+    flip = substream(seed, "er-orientation").random(chosen.size) < 0.5
     pre = np.where(flip, v, u)
     post = np.where(flip, u, v)
     return NetworkGraph(n=n, pre=pre, post=post, seed=seed)
-
-
-def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int, n: int) -> np.ndarray:
-    dist = np.full(n, _UNSET, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        gather = np.repeat(starts - offsets, counts) + np.arange(total)
-        nbrs = indices[gather]
-        level += 1
-        fresh = nbrs[dist[nbrs] == _UNSET]
-        if fresh.size == 0:
-            break
-        dist[fresh] = level
-        frontier = np.flatnonzero(dist == level)
-    return dist
 
 
 def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None) -> PathStats:
@@ -176,50 +137,69 @@ def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None
     ``reachable_fraction``.  By default every source is used up to 5000
     nodes; larger graphs fall back to 1000 sampled sources and report the
     sampling standard error of the mean.
+
+    Sources are traversed 64 at a time, one bit per source in a ``uint64``
+    word per node (multi-source BFS, Then et al., VLDB 2014): each level is
+    one gather over the adjacency, one OR-reduction per node and a mask
+    against the visited words.
     """
     if graph.n == 0 or graph.edge_count == 0:
         raise DomainError("path statistics need a non-empty graph with edges")
+    n = graph.n
     indptr, indices = graph.undirected_csr()
     sampled = False
     if sample_sources is None:
-        if graph.n <= 5000:
-            sources = np.arange(graph.n)
+        if n <= 5000:
+            sources = np.arange(n)
         else:
             sampled = True
-            sources = substream(graph.seed, "path-sources").choice(graph.n, size=1000, replace=False)
+            sources = substream(graph.seed, "path-sources").choice(n, size=1000, replace=False)
     else:
         if sample_sources <= 0:
             raise DomainError("sample_sources must be positive")
-        if sample_sources >= graph.n:
-            sources = np.arange(graph.n)
+        if sample_sources >= n:
+            sources = np.arange(n)
         else:
             sampled = True
-            sources = substream(graph.seed, "path-sources").choice(
-                graph.n, size=sample_sources, replace=False
-            )
-    total = 0.0
-    reachable = 0
+            sources = substream(graph.seed, "path-sources").choice(n, size=sample_sources, replace=False)
+    # reduceat yields g[start] for an empty row, so reduce over linked nodes only.
+    linked = np.flatnonzero(np.diff(indptr) > 0)
+    row_starts = indptr[linked]
+    hits = np.zeros(len(sources), dtype=np.int64)
+    dist_sums = np.zeros(len(sources), dtype=np.int64)
     diameter = 0
-    per_source_means = []
-    for s in sources:
-        dist = _bfs_distances(indptr, indices, int(s), graph.n)
-        mask = dist > 0
-        hit = int(mask.sum())
-        if hit:
-            dsum = float(dist[mask].sum())
-            total += dsum
-            reachable += hit
-            diameter = max(diameter, int(dist.max()))
-            per_source_means.append(dsum / hit)
+    for b in range(0, len(sources), 64):
+        block = sources[b : b + 64]
+        width = len(block)
+        visited = np.zeros(n, dtype=np.uint64)
+        visited[block] = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+        frontier = visited
+        reached = np.zeros(n, dtype=np.uint64)
+        level = 0
+        while True:
+            reached[linked] = np.bitwise_or.reduceat(frontier[indices], row_starts)
+            new = reached & ~visited
+            # Column j counts bit j, the source b + j, on little-endian words.
+            counts = np.unpackbits(new.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
+            counts = counts.sum(axis=0, dtype=np.int64)[:width]
+            if not counts.any():
+                break
+            level += 1
+            hits[b : b + width] += counts
+            dist_sums[b : b + width] += level * counts
+            visited |= new
+            frontier = new
+        diameter = max(diameter, level)
+    reachable = int(hits.sum())
     if reachable == 0:
         raise DomainError("no reachable pairs; graph is fully disconnected")
-    mean = total / reachable
     stderr = None
+    per_source_means = dist_sums[hits > 0] / hits[hits > 0]
     if sampled and len(per_source_means) > 1:
         stderr = float(np.std(per_source_means, ddof=1) / np.sqrt(len(per_source_means)))
     return PathStats(
-        mean_shortest_path=mean,
-        reachable_fraction=reachable / (len(sources) * (graph.n - 1)),
+        mean_shortest_path=int(dist_sums.sum()) / reachable,
+        reachable_fraction=reachable / (len(sources) * (n - 1)),
         diameter=diameter,
         sources=len(sources),
         mean_stderr=stderr,

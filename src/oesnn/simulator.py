@@ -131,7 +131,7 @@ class InputDrive:
         elif self.count is not None:
             t = self.start + np.arange(self.count, dtype=np.float64) * self.interval
         else:
-            if self.rate == 0:
+            if self.rate == 0 or self.start > duration:
                 return np.empty(0)
             expected = self.rate * (duration - self.start)
             draws = int(expected + 6 * math.sqrt(expected + 1) + 16)

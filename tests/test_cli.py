@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from oesnn import cli
 from oesnn.cli import main
+from oesnn.config import build_scenario, load_scenario
 from oesnn.datasets import read_csv, read_json
 
 
@@ -161,6 +164,26 @@ class TestSimulate:
     def test_usage_error_distinct_from_validation(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "calc", "nope")
         assert code == 2  # usage errors and validation errors use distinct codes
+
+    def test_simulation_error_exit_code_four(self, capsys, tmp_path, monkeypatch):
+        def small_budget(doc):
+            graph, config = build_scenario(doc)
+            return graph, dataclasses.replace(config, max_events=100)
+
+        monkeypatch.setattr(cli, "build_scenario", small_budget)
+        code, _, err = run_cli(capsys, "simulate", "--config", "poisson-link", "--out", str(tmp_path))
+        assert code == 4
+        assert "event budget exceeded" in err
+
+    def test_rate_input_starting_after_duration_draws_no_spikes(self, capsys, tmp_path):
+        doc = load_scenario("poisson-link")
+        doc["inputs"] = [{"neuron": 0, "rate": 1e6, "start": 2 * doc["duration"]}]
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 0
+        assert out.startswith("spikes: 0 ")
+        assert (tmp_path / "spikes.csv").read_text().strip() == "neuron_id,time_s"
 
 
 class TestValidateEq6:

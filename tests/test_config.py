@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from oesnn.cli import main
 from oesnn.config import build_scenario, bundled_scenario_names, load_scenario, validate_scenario
 from oesnn.errors import ConfigError
 from oesnn.linkbudget import SnspdReceiver
@@ -84,6 +87,20 @@ class TestValidation:
         problems = validate_scenario(doc)
         assert any("link.eta" in p for p in problems)
         assert any("weight" in p for p in problems)
+
+    def test_stochastic_must_be_boolean(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["link"]["stochastic"] = "no"
+        assert validate_scenario(doc) == ["link.stochastic: expected a boolean"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "link.stochastic" in capsys.readouterr().err
+
+    def test_er_degree_at_most_n_minus_one(self):
+        doc = minimal_doc()
+        doc["network"] = {"er": {"n": 10, "mean_degree": 9.5}}
+        assert validate_scenario(doc) == ["network.er.mean_degree: must be at most n - 1"]
 
     def test_cross_field_violation_reported_as_config_error(self):
         doc = minimal_doc()

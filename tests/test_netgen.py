@@ -11,6 +11,7 @@ from oesnn.netgen import (
     validate_path_model,
     write_edge_list,
 )
+from oesnn.rng import substream
 from oesnn.scaling import achievable_path_length
 
 
@@ -39,6 +40,17 @@ def floyd_warshall(graph: NetworkGraph) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
     return dist
+
+
+def assert_matches_oracle(graph: NetworkGraph):
+    """Exact agreement of every full-source statistic with Floyd-Warshall."""
+    dist = floyd_warshall(graph)
+    finite = np.isfinite(dist) & (dist > 0)
+    stats = average_shortest_path(graph)
+    assert stats.mean_shortest_path == dist[finite].sum() / finite.sum()
+    assert stats.reachable_fraction == finite.sum() / (graph.n * (graph.n - 1))
+    assert stats.diameter == int(dist[finite].max())
+    return stats
 
 
 class TestGraphInvariants:
@@ -90,6 +102,35 @@ class TestGenerateEr:
     def test_infeasible_degree_rejected(self):
         with pytest.raises(DomainError):
             generate_er(10, 10, seed=0)
+        with pytest.raises(DomainError):
+            generate_er(10, 9.5, seed=0)  # p = k/(n-1) would exceed 1
+
+    def test_full_degree_is_complete_graph(self):
+        g = generate_er(30, 29, seed=4)
+        assert g.edge_count == 30 * 29 // 2
+
+    def test_degree_uniform_across_node_id_quartiles(self):
+        # Every node has the same expected degree, high ids included.
+        n, k = 2000, 16
+        p = k / (n - 1)
+        sigma = math.sqrt((n - 1) * p * (1 - p) / (n // 4))
+        for seed in range(5):
+            g = generate_er(n, k, seed=seed)
+            degree = np.bincount(np.concatenate([g.pre, g.post]), minlength=n)
+            for quartile in np.split(degree, 4):
+                assert abs(quartile.mean() - k) <= 5 * sigma
+
+    def test_degree_histogram_matches_binomial(self):
+        n, k = 2000, 16
+        p = k / (n - 1)
+        graphs = [generate_er(n, k, seed=seed) for seed in range(5)]
+        degree = np.concatenate([np.bincount(np.concatenate([g.pre, g.post]), minlength=n) for g in graphs])
+        # Bins: degree <= 5, each of 6..27, and >= 28; every bin expects at least 5 nodes.
+        observed = np.bincount(np.clip(degree, 5, 28) - 5, minlength=24)
+        pmf = np.array([math.comb(n - 1, d) * p**d * (1 - p) ** (n - 1 - d) for d in range(29)])
+        expected = degree.size * np.concatenate([[pmf[:6].sum()], pmf[6:28], [1 - pmf[:28].sum()]])
+        assert expected.min() >= 5
+        assert np.all(np.abs(observed - expected) <= 5 * np.sqrt(expected))
 
 
 class TestAverageShortestPath:
@@ -113,16 +154,36 @@ class TestAverageShortestPath:
 
     def test_bfs_matches_floyd_warshall_exactly(self):
         for seed in (0, 1, 2):
-            g = generate_er(120, 6, seed=seed)
-            dist = floyd_warshall(g)
-            finite = np.isfinite(dist) & (dist > 0)
-            expected_mean = dist[finite].mean()
-            stats = average_shortest_path(g)
-            assert stats.mean_shortest_path == pytest.approx(expected_mean, rel=1e-12)
-            assert stats.diameter == int(dist[finite].max())
-            assert stats.reachable_fraction == pytest.approx(
-                finite.sum() / (g.n * (g.n - 1)), rel=1e-12
-            )
+            assert_matches_oracle(generate_er(120, 6, seed=seed))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_source_blocks_match_floyd_warshall(self, n):
+        # Sizes around the 64-source word leave a partial block or span two.
+        assert_matches_oracle(generate_er(n, 3, seed=n))
+
+    def test_isolated_nodes_match_floyd_warshall(self):
+        # Nodes 3, 4, 7 and the last node have no edges.
+        g = NetworkGraph(n=9, pre=np.array([0, 1, 2, 5]), post=np.array([1, 2, 0, 6]))
+        assert_matches_oracle(g)
+
+    def test_disconnected_graph_matches_floyd_warshall(self):
+        pre = np.array([0, 1, 2, 3, 5, 6, 70, 71])
+        post = np.array([1, 2, 3, 4, 6, 69, 71, 72])
+        g = NetworkGraph(n=80, pre=pre, post=post)
+        stats = assert_matches_oracle(g)
+        assert stats.reachable_fraction < 1
+
+    def test_sampled_stderr_matches_oracle_per_source(self):
+        g = generate_er(200, 4, seed=8)
+        stats = average_shortest_path(g, sample_sources=50)
+        sources = substream(g.seed, "path-sources").choice(g.n, size=50, replace=False)
+        dist = floyd_warshall(g)[sources]
+        finite = np.isfinite(dist) & (dist > 0)
+        means = [row[mask].mean() for row, mask in zip(dist, finite) if mask.any()]
+        assert stats.mean_stderr == np.std(means, ddof=1) / np.sqrt(len(means))
+        assert stats.mean_shortest_path == dist[finite].sum() / finite.sum()
+        assert stats.reachable_fraction == finite.sum() / (50 * (g.n - 1))
+        assert stats.diameter == int(dist[finite].max())
 
     def test_adding_edges_never_increases_mean(self):
         rng = np.random.default_rng(5)
