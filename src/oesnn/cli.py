@@ -66,7 +66,7 @@ from .platforms import (
 )
 from .quantities import Quantity
 from .scaling import achievable_path_length, electronic_area, photonic_area, required_degree, required_planes
-from .simulator import power_report, run
+from .simulator import SynapseReport, power_report, run
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -431,6 +431,64 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+# Stands in for the synapse list while the rest of the ledger is encoded.
+# "synapse_report" sorts last among the ledger's keys and "synapses" last
+# within it, so the list is the final value in the document.
+_SYNAPSES = "\x00synapses\x00"
+
+# One synapse of SynapseReport.as_dict() as json.dumps(sort_keys=True,
+# indent=2) lays it out at the synapse list's depth in the ledger.
+_SYNAPSE_ROW = (
+    "      {{\n"
+    '        "degraded": {},\n'
+    '        "detections": {},\n'
+    '        "level": {},\n'
+    '        "misses": {},\n'
+    '        "post": {},\n'
+    '        "pre": {},\n'
+    '        "suppressed": {},\n'
+    '        "weight": {},\n'
+    '        "writes": {}\n'
+    "      }}"
+)
+
+
+def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
+    """Write ``doc`` with ``report.as_dict()`` as its ``"synapse_report"``,
+    as ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.
+
+    The per-synapse rows are formatted from one template and written as
+    they are made, without building a dict per synapse.
+    """
+    doc = {
+        **doc,
+        "synapse_report": {
+            "sqrt_fanin_update_estimate": report.sqrt_fanin_update_estimate,
+            "synapses": _SYNAPSES,
+        },
+    }
+    head, _, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition(json.dumps(_SYNAPSES))
+    fh.write(head)
+    rows = map(
+        _SYNAPSE_ROW.format,
+        ["true" if d else "false" for d in report.degraded],
+        report.detections,
+        ["null" if v is None else v for v in report.levels],
+        report.misses,
+        report.post,
+        report.pre,
+        report.suppressed,
+        map(float.__repr__, report.weights),
+        report.writes,
+    )
+    sep = "[\n"
+    for row in rows:
+        fh.write(sep)
+        fh.write(row)
+        sep = ",\n"
+    fh.write("[]" if sep == "[\n" else "\n    ]")
+    fh.write(tail + "\n")
+
 
 def cmd_simulate(args) -> int:
     doc = load_scenario(args.config)
@@ -458,11 +516,10 @@ def cmd_simulate(args) -> int:
         "seed": config.seed,
         "profile": config.profile.name,
         "energy": ledger.as_dict(config.profile),
-        "synapse_report": report.as_dict(),
         "power": summary.as_dict(),
     }
     with open(ledger_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc_out, sort_keys=True, indent=2) + "\n")
+        _write_ledger(fh, doc_out, report)
     mean_rate = len(spikes) / (graph.n * config.duration)
     print(f"spikes: {len(spikes)} (mean rate {mean_rate:.6g} Hz over {graph.n} neurons)")
     print(f"wall power: {summary.wall_power:.6g} W (cold {summary.cold_power:.6g} W)")

@@ -154,6 +154,7 @@ def validate_scenario(doc: dict) -> list[str]:
             if not isinstance(edges, list):
                 problems.append("network.edges: required list is missing")
             else:
+                first_index: dict[tuple[int, int], int] = {}
                 for i, edge in enumerate(edges):
                     where = f"network.edges[{i}]"
                     if not isinstance(edge, dict):
@@ -168,9 +169,14 @@ def validate_scenario(doc: dict) -> list[str]:
                                 problems.append(f"{where}.{label}: node {v} out of range [0, {n_nodes})")
                     if pre is not None and post is not None and pre == post:
                         problems.append(f"{where}: self-loop {pre}->{post} not allowed")
+                    # Overrides are keyed by (pre, post), so a twin would silently share them.
+                    if pre is not None and post is not None:
+                        j = first_index.setdefault((pre, post), i)
+                        if j != i:
+                            problems.append(f"{where}: duplicate edge {pre}->{post}, first at edges[{j}]")
                     _number(edge, "weight", where, problems, minimum=0, maximum=1)
                     _number(edge, "tau", where, problems, minimum=0, exclusive=True)
-                    bits = _number(edge, "bits", where, problems, minimum=1, integer=True)
+                    bits = _number(edge, "bits", where, problems, minimum=1, maximum=10, integer=True)
                     level = _number(edge, "level", where, problems, minimum=0, integer=True)
                     if level is not None:
                         effective_bits = bits if bits is not None else default_bits

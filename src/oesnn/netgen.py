@@ -56,8 +56,9 @@ class NetworkGraph:
             return np.empty((0, 2), dtype=np.int64)
         lo = np.minimum(self.pre, self.post)
         hi = np.maximum(self.pre, self.post)
-        pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        return pairs
+        # hi < n, so the key orders pairs as (lo, hi) does.
+        keys = np.unique(lo * self.n + hi)
+        return np.stack([keys // self.n, keys % self.n], axis=1)
 
     def undirected_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency of the undirected view as (indptr, indices)."""
@@ -67,8 +68,7 @@ class NetworkGraph:
         order = np.argsort(u, kind="stable")
         u, v = u[order], v[order]
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, u + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(u, minlength=self.n), out=indptr[1:])
         return indptr, v
 
     def out_edge_indices(self) -> list[np.ndarray]:

@@ -90,6 +90,8 @@ class SynapseDefaults:
             raise DomainError("weight must lie in [0, 1]")
         if self.memory_kind not in ("analog", "loop"):
             raise DomainError(f"memory_kind must be 'analog' or 'loop', got {self.memory_kind!r}")
+        if not 1 <= self.bits <= 10:
+            raise DomainError(f"bits must lie in [1, 10], got {self.bits}")
 
 
 @dataclass(frozen=True)
@@ -276,6 +278,22 @@ _FORCED = 0
 _ARRIVAL = 1
 
 
+def _memory_cell(ov: dict, defaults: SynapseDefaults) -> MemoryCell:
+    """Initial memory cell of a synapse: its overrides over the defaults."""
+    weight = ov.get("weight", defaults.weight)
+    if ov.get("memory_kind", defaults.memory_kind) == "loop":
+        bits = int(ov.get("bits", defaults.bits))
+        level = ov.get("level")
+        if level is None:
+            level = round(weight * (2**bits - 1))
+        return LoopMemory(level=int(level), bits=bits)
+    return AnalogMemory(
+        value=float(weight),
+        write_noise_std=ov.get("write_noise_std", defaults.write_noise_std),
+        endurance=ov.get("endurance", defaults.endurance),
+    )
+
+
 def run(graph: NetworkGraph, config: SimConfig) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
     """Execute one deterministic simulation run.
 
@@ -289,34 +307,30 @@ def run(graph: NetworkGraph, config: SimConfig) -> tuple[SpikeRecord, EnergyLedg
     link = config.link
     is_snspd = isinstance(link.receiver, SnspdReceiver)
 
-    # Per-edge compiled state.
-    tau = np.full(n_edges, config.synapse.tau)
-    sign = np.ones(n_edges)
+    # Per-edge compiled state.  Cells are immutable and STDP replaces rather
+    # than mutates them, so every edge without an override shares one cell,
+    # built the first time an edge (in edge order) needs it.
+    defaults = config.synapse
+    tau = np.full(n_edges, defaults.tau)
+    sign = np.full(n_edges, -1.0 if defaults.inhibitory else 1.0)
     cells: list[MemoryCell] = []
-    overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
-    for e in range(n_edges):
-        ov = overrides.get((int(graph.pre[e]), int(graph.post[e])), {})
-        tau[e] = ov.get("tau", config.synapse.tau)
-        if tau[e] <= 0:
-            raise DomainError(f"synapse {e} tau must be positive")
-        if ov.get("inhibitory", config.synapse.inhibitory):
-            sign[e] = -1.0
-        kind = ov.get("memory_kind", config.synapse.memory_kind)
-        weight = ov.get("weight", config.synapse.weight)
-        if kind == "loop":
-            bits = int(ov.get("bits", config.synapse.bits))
-            level = ov.get("level")
-            if level is None:
-                level = round(weight * (2**bits - 1))
-            cells.append(LoopMemory(level=int(level), bits=bits))
-        else:
-            cells.append(
-                AnalogMemory(
-                    value=float(weight),
-                    write_noise_std=ov.get("write_noise_std", config.synapse.write_noise_std),
-                    endurance=ov.get("endurance", config.synapse.endurance),
-                )
-            )
+    if config.synapse_overrides:
+        overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
+        default_cell = None
+        for e, pair in enumerate(zip(graph.pre.tolist(), graph.post.tolist())):
+            ov = overrides.get(pair)
+            if ov is None:
+                if default_cell is None:
+                    default_cell = _memory_cell({}, defaults)
+                cells.append(default_cell)
+                continue
+            tau[e] = ov.get("tau", defaults.tau)
+            if tau[e] <= 0:
+                raise DomainError(f"synapse {e} tau must be positive")
+            sign[e] = -1.0 if ov.get("inhibitory", defaults.inhibitory) else 1.0
+            cells.append(_memory_cell(ov, defaults))
+    elif n_edges:
+        cells = [_memory_cell({}, defaults)] * n_edges
 
     out_edges = graph.out_edge_indices()
     in_edges = graph.in_edge_indices() if config.plasticity is not None else None
@@ -499,8 +513,8 @@ def run(graph: NetworkGraph, config: SimConfig) -> tuple[SpikeRecord, EnergyLedg
             if fanin[v]:
                 estimate += float(c) * math.sqrt(float(fanin[v]))
     report = SynapseReport(
-        pre=[int(x) for x in graph.pre],
-        post=[int(x) for x in graph.post],
+        pre=graph.pre.tolist(),
+        post=graph.post.tolist(),
         detections=det_count.tolist(),
         misses=miss_count.tolist(),
         suppressed=sup_count.tolist(),

@@ -175,6 +175,68 @@ class TestSimulate:
         assert code == 4
         assert "event budget exceeded" in err
 
+    @pytest.mark.parametrize(
+        "network",
+        [
+            {"n": 2, "edges": []},
+            # analog rows that degrade under STDP, and an inhibitory loop override
+            {
+                "n": 3,
+                "edges": [
+                    {"pre": 0, "post": 2, "weight": 0.6},
+                    {"pre": 1, "post": 2, "weight": 0.6},
+                    {"pre": 2, "post": 0, "inhibitory": True, "memory_kind": "loop", "bits": 6},
+                ],
+            },
+        ],
+        ids=["no-synapses", "mixed-synapses"],
+    )
+    def test_streamed_ledger_matches_encoder(self, capsys, tmp_path, monkeypatch, network):
+        doc = {
+            "name": "writer",
+            "seed": 3,
+            "duration": 1e-4,
+            "network": network,
+            "link": {"n_ph": 7.0, "eta": 0.01, "stochastic": False},
+            "synapse": {"tau": 1e-6, "endurance": 1},
+            "plasticity": {"kind": "stdp", "a_plus": 0.02, "a_minus": 0.02, "tau_plus": 1e-5, "tau_minus": 1e-5},
+            "inputs": [{"neuron": 0, "times": [1e-6, 3e-6, 5e-6]}, {"neuron": 1, "times": [1e-6, 3e-6, 5e-6]}],
+        }
+        reports = []
+        run = cli.run
+
+        def keep_report(graph, config):
+            result = run(graph, config)
+            reports.append(result[2])
+            return result
+
+        monkeypatch.setattr(cli, "run", keep_report)
+        path = tmp_path / "writer.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "ledger.json").read_text()
+        expected = json.loads(text)
+        expected["synapse_report"] = reports[0].as_dict()
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        rows = expected["synapse_report"]["synapses"]
+        if network["edges"]:
+            assert [r["degraded"] for r in rows] == [True, True, False]
+            assert [r["level"] for r in rows][:2] == [None, None]
+        else:
+            assert rows == [] and '"synapses": []' in text
+
+    @pytest.mark.parametrize("where", ["synapse", "edge"])
+    def test_bits_above_ten_exit_code_three(self, capsys, tmp_path, where):
+        doc = load_scenario("two-synapse-coincidence")
+        target = doc["synapse"] if where == "synapse" else doc["network"]["edges"][0]
+        target.update({"memory_kind": "loop", "bits": 11})
+        path = tmp_path / "bits.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 3
+        assert "bits" in err
+
     def test_rate_input_starting_after_duration_draws_no_spikes(self, capsys, tmp_path):
         doc = load_scenario("poisson-link")
         doc["inputs"] = [{"neuron": 0, "rate": 1e6, "start": 2 * doc["duration"]}]

@@ -97,6 +97,20 @@ class TestValidation:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
         assert "link.stochastic" in capsys.readouterr().err
 
+    def test_duplicate_edges_rejected(self):
+        doc = load_scenario("two-synapse-coincidence")
+        doc["network"]["edges"].append({"pre": 0, "post": 2, "weight": 0.0})
+        assert validate_scenario(doc) == ["network.edges[2]: duplicate edge 0->2, first at edges[0]"]
+        with pytest.raises(ConfigError):
+            build_scenario(doc)
+        doc["network"]["edges"][2] = {"pre": 2, "post": 0}  # the reverse direction is another synapse
+        assert validate_scenario(doc) == []
+
+    def test_edge_bits_at_most_ten(self):
+        doc = minimal_doc()
+        doc["network"]["edges"][0].update({"memory_kind": "loop", "bits": 11})
+        assert validate_scenario(doc) == ["network.edges[0].bits: must be <= 10, got 11"]
+
     def test_er_degree_at_most_n_minus_one(self):
         doc = minimal_doc()
         doc["network"] = {"er": {"n": 10, "mean_degree": 9.5}}

@@ -69,6 +69,27 @@ class TestGraphInvariants:
         ins = g.in_edge_indices()
         assert [len(i) for i in ins] == [0, 1, 2]
 
+    def test_undirected_view_matches_set_reference(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        pre, post = rng.integers(0, n, 300), rng.integers(0, n, 300)
+        keep = pre != post
+        pre, post = pre[keep], post[keep]
+        # Every tenth edge also runs the other way, and a few repeat.
+        pre, post = np.concatenate([pre, post[::10], pre[:5]]), np.concatenate([post, pre[::10], post[:5]])
+        g = NetworkGraph(n=n, pre=pre, post=post)
+        reference = sorted({(min(u, v), max(u, v)) for u, v in zip(pre.tolist(), post.tolist())})
+        pairs = g.undirected_edges()
+        assert pairs.dtype == np.int64 and pairs.shape == (len(reference), 2)
+        assert [tuple(p) for p in pairs.tolist()] == reference
+        indptr, indices = g.undirected_csr()
+        assert indptr.dtype == np.int64 and indptr[0] == 0
+        for x in range(n):
+            # Each row lists the higher neighbours, then the lower ones, each ascending.
+            above = [v for u, v in reference if u == x]
+            below = [u for u, v in reference if v == x]
+            assert indices[indptr[x] : indptr[x + 1]].tolist() == above + below
+
 
 class TestGenerateEr:
     def test_deterministic(self):

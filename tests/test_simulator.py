@@ -342,6 +342,25 @@ class TestGuards:
         with pytest.raises(DomainError):
             run(chain_graph(), config)
 
+    def test_synapse_errors_raised_in_edge_order(self):
+        # The default cell is built only when an edge uses it, at that edge.
+        bad_default = SynapseDefaults(write_noise_std=-1.0)
+        fixed = {"write_noise_std": 0.0}
+        base = dict(duration=1e-3, seed=16, link=snspd_link(), synapse=bad_default)
+        no_edges = NetworkGraph(n=2, pre=np.array([], dtype=np.int64), post=np.array([], dtype=np.int64))
+        run(no_edges, SimConfig(**base))
+        run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): fixed, (1, 2): fixed}))
+        with pytest.raises(DomainError, match="write_noise_std"):
+            run(two_input_graph(), SimConfig(**base, synapse_overrides={(1, 2): {"tau": -1.0}}))
+        with pytest.raises(DomainError, match="synapse 0 tau"):
+            run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): {"tau": -1.0}}))
+
+    def test_bits_bounded(self):
+        with pytest.raises(DomainError, match="bits"):
+            SynapseDefaults(bits=11)
+        with pytest.raises(DomainError, match="bits"):
+            SynapseDefaults(bits=0)
+
     def test_input_drive_mode_validation(self):
         with pytest.raises(DomainError):
             InputDrive(neuron=0)
