@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, bounded, check_bounds
 from .quantities import (
     CURRENT,
     DIMENSIONLESS,
@@ -38,42 +38,30 @@ class SnspdReceiver:
     modeled); when omitted it defaults to 1/max_count_rate.
     """
 
-    eta_d: float = 0.7  # detection efficiency
-    l_spd: float = 100e-9  # kinetic inductance, H
-    i_spd: float = 10e-6  # bias current, A
-    max_count_rate: float = 20e6  # Hz (high-yield WSi/MoSi class; NbN reaches 1e9)
-    reset_time: float | None = None  # s
+    eta_d: float = bounded(0.7, gt=0, le=1)  # detection efficiency
+    l_spd: float = bounded(100e-9, gt=0)  # kinetic inductance, H
+    i_spd: float = bounded(10e-6, gt=0)  # bias current, A
+    max_count_rate: float = bounded(20e6, gt=0)  # Hz (high-yield WSi/MoSi class; NbN reaches 1e9)
+    reset_time: float | None = bounded(None, ge=0)  # s
 
     def __post_init__(self):
-        if not 0.0 < self.eta_d <= 1.0:
-            raise DomainError(f"eta_d must lie in (0, 1], got {self.eta_d}")
-        if self.l_spd <= 0 or self.i_spd <= 0:
-            raise DomainError("l_spd and i_spd must be positive")
-        if self.max_count_rate <= 0:
-            raise DomainError("max_count_rate must be positive")
+        check_bounds(self)
         if self.reset_time is None:
             object.__setattr__(self, "reset_time", 1.0 / self.max_count_rate)
-        if self.reset_time < 0:
-            raise DomainError("reset_time must be non-negative")
 
 
 @dataclass(frozen=True)
 class ReceiverlessPhotodiode:
     """Photodiode charging a CMOS gate directly (no amplifier)."""
 
-    c_tot: float = 1e-15  # photodiode + gate + wiring capacitance, F
-    v_swing: float = 0.8  # switching voltage, V
-    responsivity: float | None = None  # A/W; default q*lambda/(h*c) at the link wavelength
-    i_leak: float = 1e-9  # dark/leakage current, A
-    v_bias: float = 1.0  # V
+    c_tot: float = bounded(1e-15, gt=0)  # photodiode + gate + wiring capacitance, F
+    v_swing: float = bounded(0.8, gt=0)  # switching voltage, V
+    responsivity: float | None = bounded(None, gt=0)  # A/W; default q*lambda/(h*c) at the link wavelength
+    i_leak: float = bounded(1e-9, ge=0)  # dark/leakage current, A
+    v_bias: float = bounded(1.0, gt=0)  # V
 
     def __post_init__(self):
-        if self.c_tot <= 0 or self.v_swing <= 0 or self.v_bias <= 0:
-            raise DomainError("c_tot, v_swing and v_bias must be positive")
-        if self.responsivity is not None and self.responsivity <= 0:
-            raise DomainError("responsivity must be positive when given")
-        if self.i_leak < 0:
-            raise DomainError("i_leak must be non-negative")
+        check_bounds(self)
 
     def responsivity_at(self, wavelength) -> float:
         if self.responsivity is not None:
@@ -95,19 +83,14 @@ class OpticalLink:
     requirement is used.
     """
 
-    wavelength: float = DEFAULT_WAVELENGTH
-    eta: float = 1.0
-    n_ph: float | None = None
+    wavelength: float = bounded(DEFAULT_WAVELENGTH, gt=0)
+    eta: float = bounded(1.0, gt=0, le=1)
+    n_ph: float | None = bounded(None, ge=0)
     receiver: ReceiverModel = SnspdReceiver()
     stochastic: bool | None = None  # default: True for SNSPD, False for photodiode
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise DomainError("wavelength must be positive")
-        if not 0.0 < self.eta <= 1.0:
-            raise DomainError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.n_ph is not None and self.n_ph < 0:
-            raise DomainError("n_ph must be non-negative")
+        check_bounds(self)
         if self.stochastic is None:
             object.__setattr__(self, "stochastic", isinstance(self.receiver, SnspdReceiver))
 

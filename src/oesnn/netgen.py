@@ -256,28 +256,3 @@ def validate_path_model(
         )
     return rows
 
-
-def write_edge_list(graph: NetworkGraph, path) -> None:
-    """Plain text format: header ``n <count>`` then one ``u v`` line per synapse."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n {graph.n}\n")
-        for u, v in zip(graph.pre.tolist(), graph.post.tolist()):
-            fh.write(f"{u} {v}\n")
-
-
-def read_edge_list(path, seed: int = 0) -> NetworkGraph:
-    """Inverse of :func:`write_edge_list`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "n":
-            raise DomainError(f"{path}: expected header 'n <count>'")
-        n = int(header[1])
-        pre, post = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split()
-            pre.append(int(u))
-            post.append(int(v))
-    return NetworkGraph(n=n, pre=np.array(pre, dtype=np.int64), post=np.array(post, dtype=np.int64), seed=seed)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Literal
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, bounded, check_bounds
 from .quantities import CURRENT, DIMENSIONLESS, FLUX_QUANTUM, si_value
 
 
@@ -82,20 +83,15 @@ class StdpParams:
     ``"fault"`` raises.
     """
 
-    a_plus: float = 4.0
-    a_minus: float = 4.0
-    tau_plus: float = 1e-3  # s
-    tau_minus: float = 1e-3  # s
-    on_exhaustion: str = "freeze"
-    write_energy: float | None = None  # J per applied write; None = platform rule
+    a_plus: float = bounded(4.0, ge=0)
+    a_minus: float = bounded(4.0, ge=0)
+    tau_plus: float = bounded(1e-3, gt=0)  # s
+    tau_minus: float = bounded(1e-3, gt=0)  # s
+    on_exhaustion: Literal["freeze", "fault"] = "freeze"
+    write_energy: float | None = bounded(None, ge=0)  # J per applied write; None = platform rule
 
     def __post_init__(self):
-        if self.tau_plus <= 0 or self.tau_minus <= 0:
-            raise DomainError("tau_plus and tau_minus must be positive")
-        if self.a_plus < 0 or self.a_minus < 0:
-            raise DomainError("amplitudes must be non-negative")
-        if self.on_exhaustion not in ("freeze", "fault"):
-            raise DomainError(f"on_exhaustion must be 'freeze' or 'fault', got {self.on_exhaustion!r}")
+        check_bounds(self)
 
 
 def stdp_delta(pre_spike: float, post_spike: float, params: StdpParams) -> float:

@@ -24,10 +24,11 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from .errors import DomainError, SimulationError
+from .errors import DomainError, SimulationError, bounded, check_bounds
 from .linkbudget import (
     OpticalLink,
     ReceiverlessPhotodiode,
@@ -57,50 +58,41 @@ from .rng import substream
 class NeuronParams:
     """Soma behavior shared by every neuron in a run."""
 
-    threshold: float = 1.0
-    refractory: float = 50e-9  # s; default one detector reset time
-    transmit_delay: float = 50e-9  # s
-    tau_soma: float | None = None  # s; None = slowest synapse time constant
+    threshold: float = bounded(1.0, gt=0)
+    refractory: float = bounded(50e-9, ge=0)  # s; default one detector reset time
+    transmit_delay: float = bounded(50e-9, ge=0)  # s
+    tau_soma: float | None = bounded(None, gt=0)  # s; None = slowest synapse time constant
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise DomainError("threshold must be positive")
-        if self.refractory < 0 or self.transmit_delay < 0:
-            raise DomainError("refractory and transmit_delay must be non-negative")
-        if self.tau_soma is not None and self.tau_soma <= 0:
-            raise DomainError("tau_soma must be positive when given")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class SynapseDefaults:
     """Per-synapse defaults; individual edges may override any field."""
 
-    tau: float = 1e-6  # s, post-synaptic filter decay
-    weight: float = 0.5  # initial weight in [0, 1]
+    tau: float = bounded(1e-6, gt=0)  # s, post-synaptic filter decay
+    weight: float = bounded(0.5, ge=0, le=1)  # initial weight
     inhibitory: bool = False
-    memory_kind: str = "analog"  # "analog" | "loop"
-    bits: int = 10
-    write_noise_std: float = 0.0
-    endurance: float = math.inf
+    memory_kind: Literal["analog", "loop"] = "analog"
+    bits: int = bounded(10, ge=1, le=10)
+    write_noise_std: float = bounded(0.0, ge=0)
+    endurance: float = bounded(math.inf, gt=0)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise DomainError("tau must be positive")
-        if not 0.0 <= self.weight <= 1.0:
-            raise DomainError("weight must lie in [0, 1]")
-        if self.memory_kind not in ("analog", "loop"):
-            raise DomainError(f"memory_kind must be 'analog' or 'loop', got {self.memory_kind!r}")
-        if not 1 <= self.bits <= 10:
-            raise DomainError(f"bits must lie in [1, 10], got {self.bits}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class EnergyParams:
     """Knobs for the per-event energy accounting."""
 
-    i_c: float = 300e-6  # A, junction critical current behind loop memory
-    max_fluxons: int | None = None  # None = floor of the per-synapse optical budget
-    per_spike_overhead: float = 0.0  # J, lumped soma electronics per output spike
+    i_c: float = bounded(300e-6, gt=0)  # A, junction critical current behind loop memory
+    max_fluxons: int | None = bounded(None, ge=0)  # None = floor of the per-synapse optical budget
+    per_spike_overhead: float = bounded(0.0, ge=0)  # J, lumped soma electronics per output spike
+
+    def __post_init__(self):
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -111,21 +103,20 @@ class InputDrive:
     ``count``+``interval`` (uniform train) must be given.
     """
 
-    neuron: int
-    times: tuple[float, ...] | None = None
-    rate: float | None = None
-    count: int | None = None
-    interval: float | None = None
-    start: float = 0.0
+    neuron: int = bounded(ge=0)
+    times: tuple[float, ...] | None = bounded(None, ge=0)
+    rate: float | None = bounded(None, ge=0)
+    count: int | None = bounded(None, ge=0)
+    interval: float | None = bounded(None, gt=0)
+    start: float = bounded(0.0, ge=0)
 
     def __post_init__(self):
+        check_bounds(self)
         modes = sum([self.times is not None, self.rate is not None, self.count is not None])
         if modes != 1:
-            raise DomainError("input drive needs exactly one of times / rate / count+interval")
-        if self.rate is not None and self.rate < 0:
-            raise DomainError("rate must be non-negative")
-        if self.count is not None and (self.interval is None or self.interval <= 0 or self.count < 0):
-            raise DomainError("count drives need count >= 0 and interval > 0")
+            raise DomainError("exactly one of times / rate / count is required")
+        if self.count is not None and self.interval is None:
+            raise DomainError("count drives need an interval")
 
     def schedule(self, duration: float, rng) -> np.ndarray:
         if self.times is not None:
@@ -149,8 +140,8 @@ class InputDrive:
 class SimConfig:
     """Everything a run needs besides the graph itself."""
 
-    duration: float
-    seed: int
+    duration: float = bounded(gt=0)
+    seed: int = bounded(ge=0, lt=2**64)
     link: OpticalLink
     profile: PlatformProfile = SUPERCONDUCTING_4K
     neuron: NeuronParams = NeuronParams()
@@ -163,8 +154,7 @@ class SimConfig:
     max_events: int = 10_000_000
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise DomainError("duration must be positive")
+        check_bounds(self)
 
 
 @dataclass
@@ -308,29 +298,21 @@ def run(graph: NetworkGraph, config: SimConfig) -> tuple[SpikeRecord, EnergyLedg
     is_snspd = isinstance(link.receiver, SnspdReceiver)
 
     # Per-edge compiled state.  Cells are immutable and STDP replaces rather
-    # than mutates them, so every edge without an override shares one cell,
-    # built the first time an edge (in edge order) needs it.
+    # than mutates them, so every edge without an override shares one cell.
     defaults = config.synapse
     tau = np.full(n_edges, defaults.tau)
     sign = np.full(n_edges, -1.0 if defaults.inhibitory else 1.0)
-    cells: list[MemoryCell] = []
+    cells: list[MemoryCell] = [_memory_cell({}, defaults)] * n_edges
     if config.synapse_overrides:
         overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
-        default_cell = None
         for e, pair in enumerate(zip(graph.pre.tolist(), graph.post.tolist())):
             ov = overrides.get(pair)
-            if ov is None:
-                if default_cell is None:
-                    default_cell = _memory_cell({}, defaults)
-                cells.append(default_cell)
-                continue
-            tau[e] = ov.get("tau", defaults.tau)
-            if tau[e] <= 0:
-                raise DomainError(f"synapse {e} tau must be positive")
-            sign[e] = -1.0 if ov.get("inhibitory", defaults.inhibitory) else 1.0
-            cells.append(_memory_cell(ov, defaults))
-    elif n_edges:
-        cells = [_memory_cell({}, defaults)] * n_edges
+            if ov is not None:
+                tau[e] = ov.get("tau", defaults.tau)
+                if tau[e] <= 0:
+                    raise DomainError(f"synapse {e} tau must be positive")
+                sign[e] = -1.0 if ov.get("inhibitory", defaults.inhibitory) else 1.0
+                cells[e] = _memory_cell(ov, defaults)
 
     out_edges = graph.out_edge_indices()
     in_edges = graph.in_edge_indices() if config.plasticity is not None else None

@@ -1,6 +1,10 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from oesnn.cli import main
 from oesnn.config import build_scenario, bundled_scenario_names, load_scenario, validate_scenario
@@ -167,3 +171,134 @@ class TestBuild:
         assert config.plasticity is not None
         assert config.plasticity.a_plus == 2.0
         assert config.plasticity.tau_plus == 1e-4
+
+
+def simulate_exit_code(doc, tmp_path, *argv):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return main(["simulate", "--config", str(path), "--out", str(tmp_path), *argv])
+
+
+class TestSchemaFromRecords:
+    def test_inhibitory_must_be_boolean(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["synapse"] = {"inhibitory": "no"}
+        assert validate_scenario(doc) == ["synapse.inhibitory: expected a boolean"]
+        assert simulate_exit_code(doc, tmp_path) == 3
+        doc = minimal_doc()
+        doc["network"]["edges"][0]["inhibitory"] = "false"
+        assert validate_scenario(doc) == ["network.edges[0].inhibitory: expected a boolean"]
+        assert simulate_exit_code(doc, tmp_path) == 3
+        assert "inhibitory" in capsys.readouterr().err
+
+    def test_synapse_bits_listed_with_other_problems(self):
+        doc = minimal_doc()
+        doc["duration"] = -1
+        doc["synapse"] = {"memory_kind": "loop", "bits": 12}
+        doc["network"]["edges"][0].update({"bits": 11, "level": 1500})
+        assert validate_scenario(doc) == [
+            "scenario.duration: must be > 0, got -1",
+            "synapse.bits: must be <= 10, got 12",
+            "network.edges[0].bits: must be <= 10, got 11",
+        ]
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("scenario", "duration"), ("inputs", "rate"), ("neuron", "threshold"), ("inputs", "times")],
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_numbers_must_be_finite(self, tmp_path, where, key, value):
+        doc = load_scenario("poisson-link")
+        if where == "inputs":
+            doc["inputs"] = [{"neuron": 0, key: [value] if key == "times" else value}]
+        else:
+            (doc if where == "scenario" else doc[where])[key] = value
+        problems = validate_scenario(doc)
+        assert len(problems) == 1 and "expected a finite number" in problems[0]
+        assert simulate_exit_code(doc, tmp_path) == 3
+
+    def test_null_means_absent(self):
+        doc = minimal_doc()
+        doc["neuron"] = {"threshold": None, "tau_soma": None}
+        doc["link"].update({"eta": None, "stochastic": None, "receiver": {"eta_d": None}})
+        doc["synapse"] = {"tau": None, "inhibitory": None, "memory_kind": None}
+        doc["plasticity"] = {"kind": "stdp", "a_plus": None, "on_exhaustion": None}
+        doc["energy"] = None
+        doc["network"]["edges"][0]["weight"] = None
+        graph, config = build_scenario(doc)
+        assert config.neuron.threshold == 1.0 and config.link.eta == 1.0
+        assert config.link.receiver.eta_d == 0.7 and config.synapse.tau == 1e-6
+        assert config.plasticity.a_plus == 4.0 and config.synapse_overrides == {}
+        doc["seed"] = None
+        assert validate_scenario(doc) == ["scenario: missing required key 'seed'"]
+
+    @pytest.mark.parametrize(
+        "override, problem",
+        [
+            ({"write_noise_std": -1}, "network.edges[0].write_noise_std: must be >= 0, got -1"),
+            ({"endurance": 0}, "network.edges[0].endurance: must be > 0, got 0"),
+        ],
+    )
+    def test_edge_overrides_bounded(self, tmp_path, override, problem):
+        doc = minimal_doc()
+        doc["network"]["edges"][0].update(override)
+        assert validate_scenario(doc) == [problem]
+        assert simulate_exit_code(doc, tmp_path) == 3
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_within_64_bits(self, tmp_path, seed):
+        doc = minimal_doc()
+        doc["seed"] = seed
+        problems = validate_scenario(doc)
+        assert len(problems) == 1 and problems[0].startswith("scenario.seed: must be")
+        assert simulate_exit_code(doc, tmp_path) == 3
+        doc["seed"] = 2**64 - 1
+        assert validate_scenario(doc) == []
+        assert simulate_exit_code(doc, tmp_path, "--seed", str(seed)) == 3
+
+
+_POOL = [None, True, "no", -1, 0, 0.5, 11, 1e30, math.inf, math.nan, [], {}]
+_KEYS = [
+    "seed", "duration", "network", "n", "edges", "er", "mean_degree", "pre", "post", "weight",
+    "level", "bits", "memory_kind", "inhibitory", "endurance", "write_noise_std", "tau",
+    "threshold", "tau_soma", "refractory", "receiver", "kind", "eta", "eta_d", "n_ph",
+    "stochastic", "reset_time", "plasticity", "a_plus", "on_exhaustion", "inputs", "neuron",
+    "times", "rate", "count", "interval", "start", "energy", "max_fluxons", "record",
+    "detections", "extra",
+]
+
+
+def _objects(node, path=()):
+    """Paths of every object in a document, the document itself first."""
+    if isinstance(node, dict):
+        yield path
+        for key, value in node.items():
+            yield from _objects(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _objects(value, path + (i,))
+
+
+_BASES = [load_scenario(name) for name in bundled_scenario_names()] + [minimal_doc()]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_documents_build_or_raise_config_error(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
+    path = data.draw(st.sampled_from(list(_objects(doc))))
+    target = doc
+    for step in path:
+        target = target[step]
+    keys = st.sampled_from(_KEYS)
+    key = data.draw(st.sampled_from(sorted(target)) | keys if target else keys)
+    value = copy.deepcopy(data.draw(st.sampled_from(_POOL)))
+    assume(not (value == 1e30 and key in ("n", "mean_degree")))  # keep valid graphs small
+    target[key] = value
+    problems = validate_scenario(doc)
+    try:
+        build_scenario(doc)
+    except ConfigError as exc:
+        assert exc.problems == problems and problems
+    else:
+        assert problems == []

@@ -7,9 +7,7 @@ from oesnn.netgen import (
     NetworkGraph,
     average_shortest_path,
     generate_er,
-    read_edge_list,
     validate_path_model,
-    write_edge_list,
 )
 from oesnn.rng import substream
 from oesnn.scaling import achievable_path_length
@@ -280,20 +278,3 @@ class TestValidatePathModel:
         # must carry the reachable fraction instead of hiding it.
         rows = validate_path_model([200], [1.5], seeds=3, base_seed=2)
         assert rows[0]["min_reachable_fraction"] < 0.9
-
-
-class TestEdgeListRoundTrip:
-    def test_roundtrip(self, tmp_path):
-        g = generate_er(150, 6, seed=13)
-        path = tmp_path / "graph.txt"
-        write_edge_list(g, path)
-        back = read_edge_list(path)
-        assert back.n == g.n
-        assert np.array_equal(back.pre, g.pre)
-        assert np.array_equal(back.post, g.post)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("nodes 5\n0 1\n")
-        with pytest.raises(DomainError):
-            read_edge_list(path)

@@ -343,23 +343,35 @@ class TestGuards:
             run(chain_graph(), config)
 
     def test_synapse_errors_raised_in_edge_order(self):
-        # The default cell is built only when an edge uses it, at that edge.
-        bad_default = SynapseDefaults(write_noise_std=-1.0)
-        fixed = {"write_noise_std": 0.0}
-        base = dict(duration=1e-3, seed=16, link=snspd_link(), synapse=bad_default)
-        no_edges = NetworkGraph(n=2, pre=np.array([], dtype=np.int64), post=np.array([], dtype=np.int64))
-        run(no_edges, SimConfig(**base))
-        run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): fixed, (1, 2): fixed}))
+        # Overrides are compiled in edge order, so the first bad edge decides the error.
+        bad_noise = {"write_noise_std": -1.0}
+        bad_tau = {"tau": -1.0}
+        base = dict(duration=1e-3, seed=16, link=snspd_link())
         with pytest.raises(DomainError, match="write_noise_std"):
-            run(two_input_graph(), SimConfig(**base, synapse_overrides={(1, 2): {"tau": -1.0}}))
+            run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): bad_noise, (1, 2): bad_tau}))
         with pytest.raises(DomainError, match="synapse 0 tau"):
-            run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): {"tau": -1.0}}))
+            run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): bad_tau, (1, 2): bad_noise}))
 
     def test_bits_bounded(self):
         with pytest.raises(DomainError, match="bits"):
             SynapseDefaults(bits=11)
         with pytest.raises(DomainError, match="bits"):
             SynapseDefaults(bits=0)
+
+    def test_records_bounded_where_made(self):
+        # One declaration per field bound: the scenario walk and the records share it.
+        for make, problem in [
+            (lambda: SynapseDefaults(write_noise_std=-1.0), "write_noise_std: must be >= 0, got -1.0"),
+            (lambda: SynapseDefaults(endurance=0), "endurance: must be > 0, got 0"),
+            (lambda: SynapseDefaults(memory_kind="flash"), "memory_kind: must be 'analog' or 'loop', got 'flash'"),
+            (lambda: EnergyParams(i_c=0.0), "i_c: must be > 0, got 0.0"),
+            (lambda: InputDrive(neuron=0, times=(1e-6, -1.0)), "times: must be >= 0, got -1.0"),
+            (lambda: SimConfig(duration=1e-3, seed=2**64, link=snspd_link()), "seed: must be < 18446744073709551616"),
+            (lambda: SimConfig(duration=1e-3, seed=-1, link=snspd_link()), "seed: must be >= 0, got -1"),
+        ]:
+            with pytest.raises(DomainError) as err:
+                make()
+            assert str(err.value).startswith(problem)
 
     def test_input_drive_mode_validation(self):
         with pytest.raises(DomainError):
