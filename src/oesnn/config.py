@@ -82,7 +82,12 @@ def load_scenario(path_or_name: str) -> dict:
             raise ConfigError(
                 [f"no such scenario file or bundled name: {path_or_name!r} (bundled: {', '.join(names)})"]
             ) from None
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            [f"{path_or_name}: not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"]
+        ) from None
 
 
 def validate_scenario(doc: dict) -> list[str]:

@@ -27,6 +27,9 @@ from .quantities import (
 )
 
 DEFAULT_WAVELENGTH = 1.5e-6  # m
+# Largest mean NumPy's Poisson sampler takes: the detection draw of a
+# stochastic photodiode link samples Poisson(n_ph).
+POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,13 @@ class OpticalLink:
         check_bounds(self)
         if self.stochastic is None:
             object.__setattr__(self, "stochastic", isinstance(self.receiver, SnspdReceiver))
+        if self.stochastic and isinstance(self.receiver, ReceiverlessPhotodiode):
+            photons = self.mean_photons()
+            if photons > POISSON_MEAN_MAX:
+                raise DomainError(
+                    f"n_ph: a stochastic photodiode link takes at most {POISSON_MEAN_MAX:.6g} photons, "
+                    f"got {photons:.6g}"
+                )
 
     def mean_photons(self) -> float:
         if self.n_ph is not None:

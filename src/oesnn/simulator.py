@@ -1,14 +1,23 @@
 """Seeded discrete-event simulation of an optoelectronic spiking network.
 
-Execution is event-driven over a priority queue with exact closed-form
-exponential decay between events; there is no global timestep.  A spike at
-neuron j costs source optical energy for every outgoing synapse and
-schedules an arrival after the transmit delay.  Each arrival runs the
-receiver's detection model (Bernoulli for single-photon detectors, Poisson
-threshold or deterministic for photodiodes), suppressed during the
-detector dead time.  Detections push a weight-scaled increment into the
-synapse filter and the soma membrane; the membrane is a leaky integrator
-that fires on threshold, resets, and honors a refractory period.
+Execution is event-driven with exact closed-form exponential decay between
+events; there is no global timestep.  A spike at neuron j costs source
+optical energy for every outgoing synapse, and all of its synapses see it
+one transmit delay later.  Each arrival runs the receiver's detection
+model (Bernoulli for single-photon detectors, Poisson threshold or
+deterministic for photodiodes), suppressed during the detector dead time.
+A detection adds the synapse's signed weight to the soma membrane, a leaky
+integrator that fires on threshold, resets, and honors a refractory period.
+
+A run compiles per-edge arrays, loops over the events, and reports.  The
+transmit delay is one constant, so arrivals come in time order: the loop
+merges the forced spikes, sorted by time, with a FIFO of per-spike
+arrival batches, and at equal times the forced spikes go first.  A batch
+is handled with array operations that reproduce, bit for bit, handling
+its arrivals one at a time in edge order.  Four cases take the
+arrival-by-arrival path instead: plasticity, recorded detections, a spike
+that reaches one post neuron twice, and a batch that would exceed the
+event budget.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
@@ -20,11 +29,10 @@ Model conventions (everything below is exact for the event sequence):
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -71,7 +79,7 @@ class NeuronParams:
 class SynapseDefaults:
     """Per-synapse defaults; individual edges may override any field."""
 
-    tau: float = bounded(1e-6, gt=0)  # s, post-synaptic filter decay
+    tau: float = bounded(1e-6, gt=0)  # s; the slowest one is the default tau_soma
     weight: float = bounded(0.5, ge=0, le=1)  # initial weight
     inhibitory: bool = False
     memory_kind: Literal["analog", "loop"] = "analog"
@@ -264,10 +272,6 @@ class SynapseReport:
         return doc
 
 
-_FORCED = 0
-_ARRIVAL = 1
-
-
 def _memory_cell(ov: dict, defaults: SynapseDefaults) -> MemoryCell:
     """Initial memory cell of a synapse: its overrides over the defaults."""
     weight = ov.get("weight", defaults.weight)
@@ -284,12 +288,45 @@ def _memory_cell(ov: dict, defaults: SynapseDefaults) -> MemoryCell:
     )
 
 
-def run(graph: NetworkGraph, config: SimConfig) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
-    """Execute one deterministic simulation run.
+@dataclass(eq=False)
+class _Compiled:
+    """One run's per-edge arrays, link constants, and the counters and records the loop fills.
 
-    Identical (graph, config) pairs produce bit-identical results: all
-    randomness flows from ``config.seed`` through labeled substreams.
+    ``increment`` (sign times weight) and ``fluxon_j`` (fluxon energy per
+    detection) follow ``cells``: they are set once per distinct cell and
+    again whenever STDP writes an edge's cell.
     """
+
+    graph: NetworkGraph
+    config: SimConfig
+    out_edges: list[np.ndarray]
+    in_edges: list[np.ndarray] | None
+    repeated_post: np.ndarray  # per neuron: one spike reaches some post neuron twice
+    cells: list[MemoryCell]
+    sign: np.ndarray
+    increment: np.ndarray
+    fluxon_j: np.ndarray
+    fluxon_of: Callable[[MemoryCell], float]  # fluxon energy per detection of a cell
+    forced_t: list[float]  # drive spikes in (time, drive, position) order
+    forced_v: list[int]
+    e_source: float
+    p_detect: float
+    poisson_need: int | None  # photons a stochastic photodiode needs; None otherwise
+    dead_time: float
+    e_reset: float
+    superconducting: bool
+    tau_soma: float
+    det_count: np.ndarray
+    miss_count: np.ndarray
+    sup_count: np.ndarray
+    write_count: np.ndarray
+    detection_times: list[list[float]] | None
+    ledger: EnergyLedger
+    spikes: SpikeRecord
+
+
+def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
+    """Per-edge arrays, link constants, the forced-spike schedule and zeroed counters."""
     if graph.n == 0:
         raise DomainError("graph must contain at least one neuron")
     n = graph.n
@@ -297,217 +334,355 @@ def run(graph: NetworkGraph, config: SimConfig) -> tuple[SpikeRecord, EnergyLedg
     link = config.link
     is_snspd = isinstance(link.receiver, SnspdReceiver)
 
-    # Per-edge compiled state.  Cells are immutable and STDP replaces rather
-    # than mutates them, so every edge without an override shares one cell.
-    defaults = config.synapse
-    tau = np.full(n_edges, defaults.tau)
-    sign = np.full(n_edges, -1.0 if defaults.inhibitory else 1.0)
-    cells: list[MemoryCell] = [_memory_cell({}, defaults)] * n_edges
-    if config.synapse_overrides:
-        overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
-        for e, pair in enumerate(zip(graph.pre.tolist(), graph.post.tolist())):
-            ov = overrides.get(pair)
-            if ov is not None:
-                tau[e] = ov.get("tau", defaults.tau)
-                if tau[e] <= 0:
-                    raise DomainError(f"synapse {e} tau must be positive")
-                sign[e] = -1.0 if ov.get("inhibitory", defaults.inhibitory) else 1.0
-                cells[e] = _memory_cell(ov, defaults)
-
-    out_edges = graph.out_edge_indices()
-    in_edges = graph.in_edge_indices() if config.plasticity is not None else None
-
-    # Link constants shared by every synapse.
     e_source = source_energy_per_spike(link).value
-    p_detect = link_detection_probability(link)
-    dead_time = link.receiver.reset_time if is_snspd else 0.0
-    e_reset = snspd_reset_energy(link.receiver.l_spd, link.receiver.i_spd).value if is_snspd else 0.0
-    poisson_need = None
-    if not is_snspd and link.stochastic:
-        poisson_need = math.ceil(implied_photon_count(link.receiver, link.wavelength))
     superconducting = config.profile.kind == "superconducting"
     max_fluxons = config.energy.max_fluxons
     if max_fluxons is None:
         max_fluxons = int(fluxon_budget(e_source, config.energy.i_c))
     fluxon_energy = config.energy.i_c * FLUX_QUANTUM.value
 
+    def fluxon_of(cell: MemoryCell) -> float:
+        if superconducting and isinstance(cell, LoopMemory):
+            return weight_to_fluxon_rate(cell, max_fluxons) * fluxon_energy
+        return 0.0
+
+    # Cells are immutable and STDP replaces rather than mutates them, so
+    # every edge without an override shares one cell, and its arrays are
+    # filled without a pass over the edges.
+    defaults = config.synapse
+    default_cell = _memory_cell({}, defaults)
+    default_sign = -1.0 if defaults.inhibitory else 1.0
+    cells: list[MemoryCell] = [default_cell] * n_edges
+    sign = np.full(n_edges, default_sign)
+    increment = np.full(n_edges, default_sign * default_cell.weight)
+    fluxons = np.full(n_edges, fluxon_of(default_cell))
+    taus = [defaults.tau]
+    if config.synapse_overrides:
+        overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
+        overridden = 0
+        for e, pair in enumerate(zip(graph.pre.tolist(), graph.post.tolist())):
+            ov = overrides.get(pair)
+            if ov is not None:
+                overridden += 1
+                taus.append(ov.get("tau", defaults.tau))
+                if not taus[-1] > 0:
+                    raise DomainError(f"synapse {e} tau must be positive")
+                sign[e] = -1.0 if ov.get("inhibitory", defaults.inhibitory) else 1.0
+                cells[e] = _memory_cell(ov, defaults)
+                increment[e] = sign[e] * cells[e].weight
+                fluxons[e] = fluxon_of(cells[e])
+        if 0 < overridden == n_edges:  # no edge keeps the default
+            del taus[0]
     tau_soma = config.neuron.tau_soma
     if tau_soma is None:
-        tau_soma = float(tau.max()) if n_edges else config.synapse.tau
-    threshold = config.neuron.threshold
-    refractory = config.neuron.refractory
-    delay = config.neuron.transmit_delay
+        tau_soma = float(max(taus))
 
-    # Mutable per-neuron / per-edge state.
-    membrane = np.zeros(n)
-    membrane_t = np.zeros(n)
-    last_spike = np.full(n, -math.inf)
-    filter_value = np.zeros(n_edges)
-    filter_t = np.zeros(n_edges)
-    last_detection = np.full(n_edges, -math.inf)
-    last_pre_event = np.full(n_edges, -math.inf)
-    det_count = np.zeros(n_edges, dtype=np.int64)
-    miss_count = np.zeros(n_edges, dtype=np.int64)
-    sup_count = np.zeros(n_edges, dtype=np.int64)
-    write_count = np.zeros(n_edges, dtype=np.int64)
-    detection_times: list[list[float]] | None = (
-        [[] for _ in range(n_edges)] if config.record_detections else None
-    )
+    # A spike reaching one post neuron twice is handled arrival by arrival.
+    keys = np.sort(graph.pre * n + graph.post)
+    repeated_post = np.zeros(n, dtype=bool)
+    repeated_post[keys[1:][keys[1:] == keys[:-1]] // n] = True
 
-    ledger = EnergyLedger(
-        per_neuron_source=np.zeros(n),
-        per_neuron_receiver=np.zeros(n),
-    )
-    spikes = SpikeRecord()
-    rng_detect = substream(config.seed, "detect")
-    rng_noise = substream(config.seed, "stdp-noise")
-    plasticity = config.plasticity
-
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    trace: deque = deque(maxlen=32)
-
+    times, neurons = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for i, drive in enumerate(config.inputs):
         if not 0 <= drive.neuron < n:
             raise DomainError(f"input drive references unknown neuron {drive.neuron}")
-        for t in drive.schedule(config.duration, substream(config.seed, "input", i)):
-            heapq.heappush(heap, (float(t), seq, _FORCED, drive.neuron))
-            seq += 1
+        times.append(drive.schedule(config.duration, substream(config.seed, "input", i)))
+        neurons.append(np.full(times[-1].size, drive.neuron, dtype=np.int64))
+    times, neurons = np.concatenate(times), np.concatenate(neurons)
+    order = np.argsort(times, kind="stable")
 
-    def decay_membrane(v: int, t: float) -> None:
-        dt = t - membrane_t[v]
-        if dt > 0:
-            membrane[v] *= math.exp(-dt / tau_soma)
-            membrane_t[v] = t
+    poisson_need = None
+    if not is_snspd and link.stochastic:
+        poisson_need = math.ceil(implied_photon_count(link.receiver, link.wavelength))
+    return _Compiled(
+        graph=graph,
+        config=config,
+        out_edges=graph.out_edge_indices(),
+        in_edges=graph.in_edge_indices() if config.plasticity is not None else None,
+        repeated_post=repeated_post,
+        cells=cells,
+        sign=sign,
+        increment=increment,
+        fluxon_j=fluxons,
+        fluxon_of=fluxon_of,
+        forced_t=times[order].tolist(),
+        forced_v=neurons[order].tolist(),
+        e_source=e_source,
+        p_detect=link_detection_probability(link),
+        poisson_need=poisson_need,
+        dead_time=link.receiver.reset_time if is_snspd else 0.0,
+        e_reset=snspd_reset_energy(link.receiver.l_spd, link.receiver.i_spd).value if is_snspd else 0.0,
+        superconducting=superconducting,
+        tau_soma=tau_soma,
+        det_count=np.zeros(n_edges, dtype=np.int64),
+        miss_count=np.zeros(n_edges, dtype=np.int64),
+        sup_count=np.zeros(n_edges, dtype=np.int64),
+        write_count=np.zeros(n_edges, dtype=np.int64),
+        detection_times=[[] for _ in range(n_edges)] if config.record_detections else None,
+        ledger=EnergyLedger(per_neuron_source=np.zeros(n), per_neuron_receiver=np.zeros(n)),
+        spikes=SpikeRecord(),
+    )
+
+
+def _sequential_sum(start: float, terms: np.ndarray) -> float:
+    """``start`` plus each term in turn, rounded after every addition as ``+=`` is."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
+
+
+def _loop(c: _Compiled) -> None:
+    """Process every event up to the run's duration, in time order.
+
+    Two sources feed the loop: the forced spikes, and a FIFO of
+    ``(arrival time, pre neuron)`` batches, one per spike.  The transmit
+    delay is uniform, so the FIFO stays in time order; at equal times the
+    forced spikes go first.
+    """
+    config = c.config
+    link = config.link
+    plasticity = config.plasticity
+    rng_detect = substream(config.seed, "detect")
+    rng_noise = substream(config.seed, "stdp-noise")
+    n, n_edges, post = c.graph.n, c.graph.edge_count, c.graph.post
+    out_edges, in_edges, cells = c.out_edges, c.in_edges, c.cells
+    sign, increment, fluxon_j = c.sign, c.increment, c.fluxon_j
+    membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
+    last_detection, last_pre_event = np.full(n_edges, -math.inf), np.full(n_edges, -math.inf)
+    det_count, miss_count, sup_count, write_count = c.det_count, c.miss_count, c.sup_count, c.write_count
+    detection_times = c.detection_times
+    ledger, spikes = c.ledger, c.spikes
+    counters = ledger.counters
+    per_neuron_source, per_neuron_receiver = ledger.per_neuron_source, ledger.per_neuron_receiver
+    e_source, e_reset, dead_time = c.e_source, c.e_reset, c.dead_time
+    p_detect, poisson_need = c.p_detect, c.poisson_need
+    mean_photons = link.mean_photons() if poisson_need is not None else None
+    draw_random = poisson_need is None and p_detect < 1.0
+    is_snspd = isinstance(link.receiver, SnspdReceiver)
+    superconducting = c.superconducting
+    tau_soma = c.tau_soma
+    threshold = config.neuron.threshold
+    refractory = config.neuron.refractory
+    delay = config.neuron.transmit_delay
+    per_spike_overhead = config.energy.per_spike_overhead
+    # Plasticity and recorded detections need each arrival on its own.
+    scalar_only = plasticity is not None or detection_times is not None
+    repeated_post = c.repeated_post
+
+    queue: deque[tuple[float, int]] = deque()
+    trace: deque = deque(maxlen=32)
 
     def fire(v: int, t: float, forced: bool) -> None:
-        nonlocal seq
         spikes.neurons.append(v)
         spikes.times.append(t)
-        ledger.counters.spikes += 1
+        counters.spikes += 1
         if forced:
-            ledger.counters.forced_spikes += 1
+            counters.forced_spikes += 1
         last_spike[v] = t
         membrane[v] = 0.0
         membrane_t[v] = t
-        ledger.soma_overhead += config.energy.per_spike_overhead
+        ledger.soma_overhead += per_spike_overhead
         if plasticity is not None:
-            for e in in_edges[v]:
+            for e in in_edges[v].tolist():
                 if last_pre_event[e] > -math.inf:
-                    cells[e], applied = apply_stdp(
-                        last_pre_event[e], t, cells[e], plasticity, rng_noise
-                    )
-                    _account_write(e, applied)
-        for e in out_edges[v]:
-            ledger.source_optical += e_source
-            ledger.per_neuron_source[v] += e_source
-            ledger.counters.transmissions += 1
-            heapq.heappush(heap, (t + delay, seq, _ARRIVAL, int(e)))
-            seq += 1
+                    cells[e], applied = apply_stdp(last_pre_event[e], t, cells[e], plasticity, rng_noise)
+                    account_write(e, applied)
+        fanout = len(out_edges[v])
+        if fanout:
+            source, own = ledger.source_optical, float(per_neuron_source[v])
+            for _ in range(fanout):
+                source += e_source
+                own += e_source
+            ledger.source_optical, per_neuron_source[v] = source, own
+            counters.transmissions += fanout
+            queue.append((t + delay, v))
 
-    def _account_write(e: int, applied: float) -> None:
+    def account_write(e: int, applied: float) -> None:
         if applied == 0.0:
             return
         write_count[e] += 1
-        ledger.counters.stdp_writes += 1
+        counters.stdp_writes += 1
+        cell = cells[e]
         if plasticity.write_energy is not None:
             ledger.memory_update += plasticity.write_energy
-        elif isinstance(cells[e], LoopMemory):
+        elif isinstance(cell, LoopMemory):
             ledger.memory_update += loop_write_energy(applied, config.energy.i_c)
+        increment[e] = sign[e] * cell.weight
+        fluxon_j[e] = c.fluxon_of(cell)
 
-    def arrive(e: int, t: float) -> None:
-        v = int(graph.post[e])
+    def arrive(e: int, v: int, t: float) -> None:
+        """One arrival on edge ``e`` into neuron ``v``."""
         if t - last_detection[e] < dead_time:
             sup_count[e] += 1
-            ledger.counters.suppressed += 1
+            counters.suppressed += 1
             return
-        if p_detect >= 1.0 and poisson_need is None:
-            detected = True
-        elif poisson_need is not None:
-            detected = int(rng_detect.poisson(link.mean_photons())) >= poisson_need
-        else:
+        if poisson_need is not None:
+            detected = int(rng_detect.poisson(mean_photons)) >= poisson_need
+        elif draw_random:
             detected = bool(rng_detect.random() < p_detect)
+        else:
+            detected = True
         if not detected:
             miss_count[e] += 1
-            ledger.counters.misses += 1
+            counters.misses += 1
             return
         det_count[e] += 1
-        ledger.counters.detections += 1
+        counters.detections += 1
         last_detection[e] = t
         if detection_times is not None:
             detection_times[e].append(t)
         if is_snspd:
             ledger.detector_reset += e_reset
-            ledger.per_neuron_receiver[v] += e_reset
-        cell = cells[e]
-        if superconducting and isinstance(cell, LoopMemory):
-            emitted = weight_to_fluxon_rate(cell, max_fluxons)
-            ledger.fluxon += emitted * fluxon_energy
-            ledger.per_neuron_receiver[v] += emitted * fluxon_energy
-        # Exact exponential decay of the synapse filter, then the pulse.
-        dt = t - filter_t[e]
-        if dt > 0:
-            filter_value[e] *= math.exp(-dt / tau[e])
-        filter_t[e] = t
-        increment = sign[e] * cell.weight
-        filter_value[e] += increment
+            per_neuron_receiver[v] += e_reset
+        if superconducting:
+            ledger.fluxon += float(fluxon_j[e])
+            per_neuron_receiver[v] += fluxon_j[e]
+        pulse = increment[e]
         if plasticity is not None:
             if last_spike[v] > -math.inf:
                 cells[e], applied = apply_stdp(t, last_spike[v], cells[e], plasticity, rng_noise)
-                _account_write(e, applied)
+                account_write(e, applied)
             last_pre_event[e] = t
-        decay_membrane(v, t)
-        membrane[v] += increment
+        dt = t - membrane_t[v]
+        if dt > 0:
+            membrane[v] *= math.exp(-dt / tau_soma)
+            membrane_t[v] = t
+        membrane[v] += pulse
         if not math.isfinite(membrane[v]):
             raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", trace)
         if membrane[v] >= threshold and t - last_spike[v] >= refractory:
             fire(v, t, forced=False)
 
+    def arrive_batch(t: float, edges: np.ndarray, posts: np.ndarray) -> None:
+        """Every arrival of one spike, each post neuron hit once, as ``arrive`` in edge order.
+
+        Crossings fire after the whole batch: a spike changes only its own
+        neuron and draws nothing from the detection stream, and the rest
+        of the batch reaches other neurons.
+        """
+        # np.count_nonzero: far cheaper than ndarray.all() on short arrays.
+        dead = t - last_detection[edges] < dead_time
+        n_dead = int(np.count_nonzero(dead))
+        if n_dead:
+            sup_count[edges[dead]] += 1
+            counters.suppressed += n_dead
+            edges, posts = edges[~dead], posts[~dead]
+        if poisson_need is not None:
+            hit = rng_detect.poisson(mean_photons, size=edges.size) >= poisson_need
+        elif draw_random:
+            hit = rng_detect.random(size=edges.size) < p_detect
+        else:
+            hit = None
+        if hit is not None and np.count_nonzero(hit) < hit.size:
+            lost = edges[~hit]
+            miss_count[lost] += 1
+            counters.misses += lost.size
+            edges, posts = edges[hit], posts[hit]
+        if not edges.size:
+            return
+        det_count[edges] += 1
+        counters.detections += edges.size
+        last_detection[edges] = t
+        if is_snspd:
+            ledger.detector_reset = _sequential_sum(ledger.detector_reset, np.full(edges.size, e_reset))
+            per_neuron_receiver[posts] += e_reset
+        if superconducting:
+            emitted = fluxon_j[edges]
+            ledger.fluxon = _sequential_sum(ledger.fluxon, emitted)
+            per_neuron_receiver[posts] += emitted
+        # math.exp, not np.exp: the two can differ in the last bit.
+        exponents = (-(t - membrane_t[posts]) / tau_soma).tolist()
+        decay = np.fromiter(map(math.exp, exponents), dtype=np.float64, count=len(exponents))
+        values = membrane[posts] * decay + increment[edges]
+        membrane[posts] = values
+        membrane_t[posts] = t
+        finite = np.isfinite(values)
+        if np.count_nonzero(finite) < finite.size:
+            v = int(posts[~finite][0])
+            raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", trace)
+        crossed = (values >= threshold) & (t - last_spike[posts] >= refractory)
+        for v in posts[crossed].tolist():
+            fire(v, t, forced=False)
+
+    def over_budget() -> SimulationError:
+        return SimulationError(
+            f"event budget exceeded ({config.max_events} events); raise max_events or shorten the run",
+            trace,
+        )
+
+    forced_t, forced_v = c.forced_t, c.forced_v
+    next_forced = 0
     processed = 0
-    while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+    while True:
+        if next_forced < len(forced_t) and (not queue or forced_t[next_forced] <= queue[0][0]):
+            t, v = forced_t[next_forced], forced_v[next_forced]
+            next_forced += 1
+            processed += 1
+            if processed > config.max_events:
+                raise over_budget()
+            trace.append((t, "forced", v))
+            fire(v, t, forced=True)
+            continue
+        if not queue:
+            break
+        t, pre = queue.popleft()
         if t > config.duration:
             break
-        processed += 1
-        if processed > config.max_events:
-            raise SimulationError(
-                f"event budget exceeded ({config.max_events} events); "
-                "raise max_events or shorten the run",
-                trace,
-            )
-        trace.append((t, "forced" if kind == _FORCED else "arrival", payload))
-        if kind == _FORCED:
-            fire(payload, t, forced=True)
+        edges = out_edges[pre]
+        posts = post[edges]
+        if scalar_only or repeated_post[pre] or processed + edges.size > config.max_events:
+            for e, v in zip(edges.tolist(), posts.tolist()):
+                processed += 1
+                if processed > config.max_events:
+                    raise over_budget()
+                trace.append((t, "arrival", e))
+                arrive(e, v, t)
         else:
-            arrive(payload, t)
+            processed += edges.size
+            trace.extend((t, "arrival", e) for e in edges[-trace.maxlen :].tolist())
+            arrive_batch(t, edges, posts)
 
+
+def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
+    """Close the ledger over the run and gather the per-synapse report."""
+    graph, config, ledger, spikes, cells = c.graph, c.config, c.ledger, c.spikes, c.cells
+    n, n_edges = graph.n, graph.edge_count
     # Static leakage integrates over the whole run for biased photodiodes.
-    if isinstance(link.receiver, ReceiverlessPhotodiode):
+    if isinstance(config.link.receiver, ReceiverlessPhotodiode):
         ledger.static_leakage = (
-            n_edges * photodiode_static_power(link.receiver).value * config.duration
+            n_edges * photodiode_static_power(config.link.receiver).value * config.duration
         )
 
     fanin = np.bincount(graph.post, minlength=n) if n_edges else np.zeros(n, dtype=np.int64)
     estimate = 0.0
     if spikes.neurons:
         spiked, counts_per = np.unique(spikes.neurons, return_counts=True)
-        for v, c in zip(spiked, counts_per):
+        for v, count in zip(spiked, counts_per):
             if fanin[v]:
-                estimate += float(c) * math.sqrt(float(fanin[v]))
+                estimate += float(count) * math.sqrt(float(fanin[v]))
     report = SynapseReport(
         pre=graph.pre.tolist(),
         post=graph.post.tolist(),
-        detections=det_count.tolist(),
-        misses=miss_count.tolist(),
-        suppressed=sup_count.tolist(),
-        writes=write_count.tolist(),
-        weights=[c.weight for c in cells],
-        levels=[c.level if isinstance(c, LoopMemory) else None for c in cells],
-        degraded=[c.degraded for c in cells],
-        detection_times=detection_times,
+        detections=c.det_count.tolist(),
+        misses=c.miss_count.tolist(),
+        suppressed=c.sup_count.tolist(),
+        writes=c.write_count.tolist(),
+        weights=[cell.weight for cell in cells],
+        levels=[cell.level if isinstance(cell, LoopMemory) else None for cell in cells],
+        degraded=[cell.degraded for cell in cells],
+        detection_times=c.detection_times,
         sqrt_fanin_update_estimate=estimate,
     )
     return spikes, ledger, report
+
+
+def run(graph: NetworkGraph, config: SimConfig) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
+    """Execute one deterministic simulation run.
+
+    Identical (graph, config) pairs produce bit-identical results: all
+    randomness flows from ``config.seed`` through labeled substreams.
+    """
+    compiled = _compile(graph, config)
+    _loop(compiled)
+    return _report(compiled)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,13 @@ class TestSimulate:
         assert code == 3
         assert "duration" in err
 
+    def test_malformed_json_exit_code_three(self, capsys, tmp_path):
+        bad = tmp_path / "truncated.json"
+        bad.write_text('{"seed": 1,')
+        code, _, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path))
+        assert code == 3
+        assert f"{bad}: not valid JSON" in err and "line 1, column 12" in err
+
     def test_usage_error_distinct_from_validation(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "calc", "nope")
         assert code == 2  # usage errors and validation errors use distinct codes
@@ -174,6 +181,33 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", "poisson-link", "--out", str(tmp_path))
         assert code == 4
         assert "event budget exceeded" in err
+
+    def test_event_budget_boundary_exit_codes(self, capsys, tmp_path, monkeypatch):
+        def simulate(out):
+            return run_cli(capsys, "simulate", "--config", "ledger-fanout", "--out", str(tmp_path / out))
+
+        code, _, _ = simulate("full")
+        assert code == 0
+        counters = json.loads((tmp_path / "full" / "ledger.json").read_text())["energy"]["counters"]
+        events = sum(counters[k] for k in ("forced_spikes", "detections", "misses", "suppressed"))
+        budget = {}
+
+        def with_budget(doc):
+            graph, config = build_scenario(doc)
+            return graph, dataclasses.replace(config, max_events=budget["max_events"])
+
+        monkeypatch.setattr(cli, "build_scenario", with_budget)
+        budget["max_events"] = events
+        code, _, _ = simulate("exact")
+        assert code == 0
+        for name in ("spikes.csv", "ledger.json"):
+            assert (tmp_path / "exact" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        budget["max_events"] = events - 1
+        code, _, err = simulate("over")
+        assert code == 4
+        assert f"event budget exceeded ({events - 1} events)" in err
+        tail = err.split("last events:\n")[1].splitlines()
+        assert len(tail) == 32 and all("'arrival'" in line or "'forced'" in line for line in tail)
 
     @pytest.mark.parametrize(
         "network",

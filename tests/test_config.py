@@ -217,6 +217,17 @@ class TestSchemaFromRecords:
         assert len(problems) == 1 and "expected a finite number" in problems[0]
         assert simulate_exit_code(doc, tmp_path) == 3
 
+    def test_stochastic_photodiode_photons_bounded(self, tmp_path):
+        doc = load_scenario("two-synapse-coincidence")
+        doc["link"] = {"eta": 0.01, "n_ph": 1e30, "stochastic": True, "receiver": {"kind": "photodiode"}}
+        problems = validate_scenario(doc)
+        assert len(problems) == 1
+        assert problems[0].startswith("link: n_ph: a stochastic photodiode link takes at most")
+        assert simulate_exit_code(doc, tmp_path) == 3
+        doc["link"]["n_ph"] = 5000.0
+        assert validate_scenario(doc) == []
+        assert simulate_exit_code(doc, tmp_path) == 0
+
     def test_null_means_absent(self):
         doc = minimal_doc()
         doc["neuron"] = {"threshold": None, "tau_soma": None}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oesnn.errors import DimensionError, DomainError, InfeasibleError
 from oesnn.linkbudget import (
+    POISSON_MEAN_MAX,
     OpticalLink,
     ReceiverlessPhotodiode,
     SnspdReceiver,
@@ -255,3 +256,17 @@ class TestLinkModel:
         # Well above the requirement detection is near-certain.
         rich = OpticalLink(receiver=pd, n_ph=need * 1.2, stochastic=True)
         assert link_detection_probability(rich) > 0.999
+
+
+class TestPoissonMeanBound:
+    def test_stochastic_photodiode_photons_bounded(self):
+        pd = ReceiverlessPhotodiode()
+        OpticalLink(n_ph=POISSON_MEAN_MAX, receiver=pd, stochastic=True)
+        np.random.default_rng(0).poisson(POISSON_MEAN_MAX)  # the largest mean still draws
+        with pytest.raises(DomainError, match="n_ph: a stochastic photodiode link takes at most"):
+            OpticalLink(n_ph=math.nextafter(POISSON_MEAN_MAX, math.inf), receiver=pd, stochastic=True)
+        with pytest.raises(DomainError, match="got 1e[+]30"):
+            OpticalLink(n_ph=1e30, receiver=pd, stochastic=True)
+        # Deterministic photodiodes and single-photon detectors draw no Poisson count.
+        OpticalLink(n_ph=1e30, receiver=pd, stochastic=False)
+        OpticalLink(n_ph=1e30, receiver=SnspdReceiver(), stochastic=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from oesnn.errors import DomainError, SimulationError
 from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver
-from oesnn.netgen import NetworkGraph
+from oesnn.netgen import NetworkGraph, generate_er
 from oesnn.plasticity import StdpParams
 from oesnn.platforms import SEMICONDUCTOR_300K, SUPERCONDUCTING_4K
 from oesnn.quantities import CONSTANTS, photon_energy
@@ -98,6 +99,39 @@ class TestThresholdLogic:
         spikes, _, _ = run(chain_graph(), config)
         readout = [t for v, t in zip(spikes.neurons, spikes.times) if v == 1]
         assert len(readout) == 1  # later arrivals land inside the refractory hold
+
+
+class TestEventOrder:
+    def test_forced_spikes_go_first_at_equal_times(self):
+        # With no delay, neuron 0's spike reaches neuron 1 in the instant
+        # neuron 1 is driven: the drive fires it, and the arrival finds it
+        # refractory.
+        config = SimConfig(
+            duration=1e-3,
+            seed=1,
+            link=snspd_link(),
+            neuron=NeuronParams(threshold=1.0, refractory=5e-8, transmit_delay=0.0),
+            synapse=SynapseDefaults(weight=1.0),
+            inputs=(InputDrive(neuron=0, times=(1e-6,)), InputDrive(neuron=1, times=(1e-6,))),
+        )
+        spikes, ledger, report = run(chain_graph(), config)
+        assert spikes.neurons == [0, 1] and spikes.times == [1e-6, 1e-6]
+        assert ledger.counters.forced_spikes == 2 and report.detections == [1]
+
+    def test_equal_drive_times_keep_drive_order(self):
+        config = SimConfig(
+            duration=1e-3,
+            seed=1,
+            link=snspd_link(),
+            neuron=NeuronParams(threshold=1e9),
+            inputs=(
+                InputDrive(neuron=2, count=60, interval=1e-6),
+                InputDrive(neuron=0, times=tuple(k * 1e-6 for k in range(59, -1, -1))),
+                InputDrive(neuron=1, count=60, interval=1e-6),
+            ),
+        )
+        spikes, _, _ = run(two_input_graph(), config)
+        assert spikes.neurons == [2, 0, 1] * 60
 
 
 class TestDetectionStatistics:
@@ -332,6 +366,35 @@ class TestGuards:
         with pytest.raises(SimulationError):
             run(chain_graph(), config)
 
+    def test_event_budget_boundary(self):
+        # Three forced spikes of neuron 0, each reaching 40 synapses: 123 events.
+        config = SimConfig(
+            duration=1e-3,
+            seed=11,
+            link=snspd_link(),
+            synapse=SynapseDefaults(tau=1e-7, weight=0.3),
+            inputs=(InputDrive(neuron=0, count=3, interval=1e-5, start=1e-6),),
+        )
+        graph = fan_graph(40)
+        full = run(graph, config)
+        counters = full[1].counters
+        events = counters.forced_spikes + counters.detections + counters.misses + counters.suppressed
+        assert events == 3 * 41
+        exact = run(graph, dataclasses.replace(config, max_events=events))
+        assert exact[0].times == full[0].times
+        assert exact[1].as_dict(config.profile) == full[1].as_dict(config.profile)
+        arrival = [t + config.neuron.transmit_delay for t in full[0].times]
+        # Over budget at the last arrival, and at the third forced spike:
+        # the error lists the 32 events before it, one entry per event.
+        for budget, tail in [
+            (events - 1, [(arrival[2], "arrival", e) for e in range(7, 39)]),
+            (82, [(arrival[1], "arrival", e) for e in range(8, 40)]),
+        ]:
+            with pytest.raises(SimulationError, match=rf"event budget exceeded \({budget} events\)") as err:
+                run(graph, dataclasses.replace(config, max_events=budget))
+            assert err.value.trace_tail == tail
+            assert str(err.value).count("\n    (") == 32
+
     def test_unknown_input_neuron(self):
         config = SimConfig(
             duration=1e-3,
@@ -380,6 +443,50 @@ class TestGuards:
             InputDrive(neuron=0, times=(1e-6,), rate=1e3)
         with pytest.raises(DomainError):
             InputDrive(neuron=0, count=5)
+
+
+class TestBatchedArrivals:
+    """The batched loop against the arrival-by-arrival path as the reference.
+
+    Recording detections sends every arrival down the one-at-a-time path,
+    so the two runs of each case must agree exactly in everything else.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        ["cascade", "photodiode-poisson", "photodiode-deterministic", "dead-time-inhibitory"],
+    )
+    def test_batches_match_single_arrivals(self, case):
+        graph = generate_er(150, 12.0, seed=5)
+        config = SimConfig(
+            duration=1e-4,
+            seed=21,
+            link=snspd_link(stochastic=True),
+            neuron=NeuronParams(threshold=1.0, refractory=5e-8, transmit_delay=0.0),
+            synapse=SynapseDefaults(tau=1e-6, weight=0.55, memory_kind="loop", bits=8),
+            inputs=tuple(InputDrive(neuron=v, rate=2e5) for v in (4, 60, 130)),
+        )
+        photodiode = OpticalLink(eta=0.01, n_ph=4950.0, receiver=ReceiverlessPhotodiode(), stochastic=True)
+        if case.startswith("photodiode"):
+            if case.endswith("deterministic"):
+                photodiode = dataclasses.replace(photodiode, stochastic=False)
+            config = dataclasses.replace(config, link=photodiode, profile=SEMICONDUCTOR_300K)
+        elif case == "dead-time-inhibitory":
+            pairs = zip(graph.pre[::4].tolist(), graph.post[::4].tolist())
+            inhibitory = {pair: {"inhibitory": True} for pair in pairs}
+            config = dataclasses.replace(
+                config,
+                link=snspd_link(stochastic=True, receiver=SnspdReceiver(reset_time=2e-6)),
+                neuron=NeuronParams(threshold=1.0, refractory=5e-8, transmit_delay=5e-8),
+                synapse_overrides=inhibitory,
+                inputs=tuple(InputDrive(neuron=v, rate=1e6) for v in range(0, 150, 10)),
+            )
+        results = []
+        for record in (False, True):
+            spikes, ledger, report = run(graph, dataclasses.replace(config, record_detections=record))
+            results.append((spikes.neurons, spikes.times, ledger.as_dict(config.profile), report.as_dict()))
+        assert results[0] == results[1]
+        assert results[0][2]["counters"]["detections"] > 0
 
 
 class TestPowerReport:
@@ -456,3 +563,20 @@ class TestSomaTimeConstant:
         slow = SimConfig(**base, neuron=NeuronParams(threshold=1.0, tau_soma=1e-3))
         spikes, _, _ = run(chain_graph(), slow)
         assert any(v == 1 for v in spikes.neurons)
+
+    def test_slowest_synapse_counts_every_edge(self):
+        # A 1 ns override on the only edge leaves the 1 us default out, so
+        # two 0.6 pulses 100 ns apart do not add up; overrides naming no
+        # edge of an edgeless graph leave the default in.
+        pulses = (InputDrive(neuron=0, times=(1e-6, 1.1e-6)),)
+        base = dict(duration=1e-3, seed=15, link=snspd_link(), inputs=pulses)
+        fast = {(0, 1): {"tau": 1e-9, "weight": 0.6}}
+        spikes, _, _ = run(chain_graph(), SimConfig(**base, synapse_overrides=fast))
+        assert spikes.neurons == [0, 0]
+        spikes, _, _ = run(chain_graph(), SimConfig(**base, synapse_overrides={(0, 1): {"weight": 0.6}}))
+        assert spikes.neurons == [0, 0, 1]
+        edgeless = NetworkGraph(n=2, pre=np.array([], dtype=np.int64), post=np.array([], dtype=np.int64))
+        spikes, _, _ = run(edgeless, SimConfig(**base, synapse_overrides=fast))
+        assert spikes.neurons == [0, 0]
+        with pytest.raises(DomainError, match="synapse 0 tau"):
+            run(chain_graph(), SimConfig(**base, synapse_overrides={(0, 1): {"tau": math.nan}}))
