@@ -82,6 +82,10 @@ def load_scenario(path_or_name: str) -> dict:
             raise ConfigError(
                 [f"no such scenario file or bundled name: {path_or_name!r} (bundled: {', '.join(names)})"]
             ) from None
+        except OSError as exc:  # a directory, no permission, a read failure
+            raise ConfigError([f"{path_or_name}: cannot read scenario file: {exc.strerror or exc}"]) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path_or_name}: not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

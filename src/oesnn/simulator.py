@@ -12,12 +12,12 @@ integrator that fires on threshold, resets, and honors a refractory period.
 A run compiles per-edge arrays, loops over the events, and reports.  The
 transmit delay is one constant, so arrivals come in time order: the loop
 merges the forced spikes, sorted by time, with a FIFO of per-spike
-arrival batches, and at equal times the forced spikes go first.  A batch
-is handled with array operations that reproduce, bit for bit, handling
-its arrivals one at a time in edge order.  Four cases take the
-arrival-by-arrival path instead: plasticity, recorded detections, a spike
-that reaches one post neuron twice, and a batch that would exceed the
-event budget.
+arrival batches, and at equal times the forced spikes go first.  One
+handler takes every batch with array operations that reproduce, bit for
+bit, handling its arrivals one at a time in edge order, STDP writes
+included.  A spike that reaches one post neuron twice is handed over as
+batches of one arrival, and a batch that would exceed the event budget is
+cut at it.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
@@ -377,7 +377,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     if tau_soma is None:
         tau_soma = float(max(taus))
 
-    # A spike reaching one post neuron twice is handled arrival by arrival.
+    # A spike reaching one post neuron twice is handed over one arrival at a time.
     keys = np.sort(graph.pre * n + graph.post)
     repeated_post = np.zeros(n, dtype=bool)
     repeated_post[keys[1:][keys[1:] == keys[:-1]] // n] = True
@@ -424,11 +424,6 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     )
 
 
-def _sequential_sum(start: float, terms: np.ndarray) -> float:
-    """``start`` plus each term in turn, rounded after every addition as ``+=`` is."""
-    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
-
-
 def _loop(c: _Compiled) -> None:
     """Process every event up to the run's duration, in time order.
 
@@ -463,8 +458,6 @@ def _loop(c: _Compiled) -> None:
     refractory = config.neuron.refractory
     delay = config.neuron.transmit_delay
     per_spike_overhead = config.energy.per_spike_overhead
-    # Plasticity and recorded detections need each arrival on its own.
-    scalar_only = plasticity is not None or detection_times is not None
     repeated_post = c.repeated_post
 
     queue: deque[tuple[float, int]] = deque()
@@ -508,63 +501,25 @@ def _loop(c: _Compiled) -> None:
         increment[e] = sign[e] * cell.weight
         fluxon_j[e] = c.fluxon_of(cell)
 
-    def arrive(e: int, v: int, t: float) -> None:
-        """One arrival on edge ``e`` into neuron ``v``."""
-        if t - last_detection[e] < dead_time:
-            sup_count[e] += 1
-            counters.suppressed += 1
-            return
-        if poisson_need is not None:
-            detected = int(rng_detect.poisson(mean_photons)) >= poisson_need
-        elif draw_random:
-            detected = bool(rng_detect.random() < p_detect)
-        else:
-            detected = True
-        if not detected:
-            miss_count[e] += 1
-            counters.misses += 1
-            return
-        det_count[e] += 1
-        counters.detections += 1
-        last_detection[e] = t
-        if detection_times is not None:
-            detection_times[e].append(t)
-        if is_snspd:
-            ledger.detector_reset += e_reset
-            per_neuron_receiver[v] += e_reset
-        if superconducting:
-            ledger.fluxon += float(fluxon_j[e])
-            per_neuron_receiver[v] += fluxon_j[e]
-        pulse = increment[e]
-        if plasticity is not None:
-            if last_spike[v] > -math.inf:
-                cells[e], applied = apply_stdp(t, last_spike[v], cells[e], plasticity, rng_noise)
-                account_write(e, applied)
-            last_pre_event[e] = t
-        dt = t - membrane_t[v]
-        if dt > 0:
-            membrane[v] *= math.exp(-dt / tau_soma)
-            membrane_t[v] = t
-        membrane[v] += pulse
-        if not math.isfinite(membrane[v]):
-            raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", trace)
-        if membrane[v] >= threshold and t - last_spike[v] >= refractory:
-            fire(v, t, forced=False)
+    def arrive(t: float, edges: np.ndarray) -> None:
+        """Arrivals of one spike at time ``t``, each post neuron hit at most once.
 
-    def arrive_batch(t: float, edges: np.ndarray, posts: np.ndarray) -> None:
-        """Every arrival of one spike, each post neuron hit once, as ``arrive`` in edge order.
-
-        Crossings fire after the whole batch: a spike changes only its own
-        neuron and draws nothing from the detection stream, and the rest
-        of the batch reaches other neurons.
+        The result equals handling the arrivals one at a time in edge
+        order: each post neuron sees only its own arrival, and a spike or
+        STDP write at one post neuron changes only that neuron and its
+        in-edges, none of which is a later edge of the batch.
         """
-        # np.count_nonzero: far cheaper than ndarray.all() on short arrays.
-        dead = t - last_detection[edges] < dead_time
-        n_dead = int(np.count_nonzero(dead))
-        if n_dead:
-            sup_count[edges[dead]] += 1
-            counters.suppressed += n_dead
-            edges, posts = edges[~dead], posts[~dead]
+        posts = post[edges]
+        # Arrivals come in time order, so a zero dead time (a photodiode's)
+        # suppresses nothing.  np.count_nonzero: far cheaper than
+        # ndarray.all() on short arrays.
+        if dead_time:
+            dead = t - last_detection[edges] < dead_time
+            n_dead = int(np.count_nonzero(dead))
+            if n_dead:
+                sup_count[edges[dead]] += 1
+                counters.suppressed += n_dead
+                edges, posts = edges[~dead], posts[~dead]
         if poisson_need is not None:
             hit = rng_detect.poisson(mean_photons, size=edges.size) >= poisson_need
         elif draw_random:
@@ -581,15 +536,26 @@ def _loop(c: _Compiled) -> None:
         det_count[edges] += 1
         counters.detections += edges.size
         last_detection[edges] = t
+        if detection_times is not None:
+            for e in edges.tolist():
+                detection_times[e].append(t)
+        # One addition per detection, in edge order, so the ledger rounds as
+        # it would one arrival at a time.
         if is_snspd:
-            ledger.detector_reset = _sequential_sum(ledger.detector_reset, np.full(edges.size, e_reset))
+            reset = ledger.detector_reset
+            for _ in range(edges.size):
+                reset += e_reset
+            ledger.detector_reset = reset
             per_neuron_receiver[posts] += e_reset
         if superconducting:
             emitted = fluxon_j[edges]
-            ledger.fluxon = _sequential_sum(ledger.fluxon, emitted)
+            fluxon = ledger.fluxon
+            for energy in emitted.tolist():
+                fluxon += energy
+            ledger.fluxon = fluxon
             per_neuron_receiver[posts] += emitted
         # math.exp, not np.exp: the two can differ in the last bit.
-        exponents = (-(t - membrane_t[posts]) / tau_soma).tolist()
+        exponents = ((membrane_t[posts] - t) / tau_soma).tolist()
         decay = np.fromiter(map(math.exp, exponents), dtype=np.float64, count=len(exponents))
         values = membrane[posts] * decay + increment[edges]
         membrane[posts] = values
@@ -598,9 +564,22 @@ def _loop(c: _Compiled) -> None:
         if np.count_nonzero(finite) < finite.size:
             v = int(posts[~finite][0])
             raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", trace)
-        crossed = (values >= threshold) & (t - last_spike[posts] >= refractory)
-        for v in posts[crossed].tolist():
-            fire(v, t, forced=False)
+        above = values >= threshold
+        if plasticity is None:
+            for v in posts[above].tolist():
+                if t - last_spike[v] >= refractory:
+                    fire(v, t, forced=False)
+            return
+        # In edge order: depress the edge if its post neuron has spiked,
+        # then fire that neuron if it crossed, so the STDP noise draws keep
+        # their order.
+        last_pre_event[edges] = t
+        for e, v, up in zip(edges.tolist(), posts.tolist(), above.tolist()):
+            if last_spike[v] > -math.inf:
+                cells[e], applied = apply_stdp(t, last_spike[v], cells[e], plasticity, rng_noise)
+                account_write(e, applied)
+            if up and t - last_spike[v] >= refractory:
+                fire(v, t, forced=False)
 
     def over_budget() -> SimulationError:
         return SimulationError(
@@ -627,18 +606,19 @@ def _loop(c: _Compiled) -> None:
         if t > config.duration:
             break
         edges = out_edges[pre]
-        posts = post[edges]
-        if scalar_only or repeated_post[pre] or processed + edges.size > config.max_events:
-            for e, v in zip(edges.tolist(), posts.tolist()):
-                processed += 1
-                if processed > config.max_events:
-                    raise over_budget()
-                trace.append((t, "arrival", e))
-                arrive(e, v, t)
-        else:
-            processed += edges.size
-            trace.extend((t, "arrival", e) for e in edges[-trace.maxlen :].tolist())
-            arrive_batch(t, edges, posts)
+        # A batch that would cross the budget is cut at it: the events up
+        # to the budget run, then the run stops.
+        over = processed + edges.size > config.max_events
+        if over:
+            edges = edges[: config.max_events - processed]
+        processed += edges.size
+        # A spike that reaches one post neuron twice goes one arrival at a time.
+        batches = [edges[i : i + 1] for i in range(edges.size)] if repeated_post[pre] else [edges]
+        for batch in batches:
+            trace.extend((t, "arrival", e) for e in batch[-trace.maxlen :].tolist())
+            arrive(t, batch)
+        if over:
+            raise over_budget()
 
 
 def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:

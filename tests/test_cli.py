@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,11 @@ def run_cli(capsys, *argv):
 
 
 def test_module_entry_point():
+    # The child imports oesnn from where this process found it, installed or not.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-m", "oesnn.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "oesnn.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0
     assert "oesnn" in result.stdout
@@ -167,6 +172,17 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path))
         assert code == 3
         assert f"{bad}: not valid JSON" in err and "line 1, column 12" in err
+
+    @pytest.mark.parametrize("kind, problem", [("directory", "cannot read"), ("not-utf8", "not UTF-8")])
+    def test_unreadable_config_exit_code_three(self, capsys, tmp_path, kind, problem):
+        bad = tmp_path / "scenario.json"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe{")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert f"{bad}: {problem}" in err
 
     def test_usage_error_distinct_from_validation(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "calc", "nope")

@@ -37,6 +37,23 @@ class TestBundled:
             load_scenario("/no/such/file.json")
         assert "two-synapse-coincidence" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [
+            ("directory", "cannot read scenario file: Is a directory"),
+            ("not-utf8", "not UTF-8 text: invalid start byte at byte 0"),
+        ],
+    )
+    def test_unreadable_file_is_config_error(self, tmp_path, kind, problem):
+        path = tmp_path / "scenario.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError) as err:
+            load_scenario(str(path))
+        assert err.value.problems == [f"{path}: {problem}"]
+
 
 class TestValidation:
     def test_minimal_valid(self):

@@ -229,7 +229,7 @@ def test_output_bytes_match_golden_digests(name, tmp_path, capsys):
 REPEATED_PAIR_RUN = "b2fe26fd193951acd482d56e42e324cf0f1fe287cccc10bdf4d4020d5e5d1275"
 
 
-def repeated_pair_run():
+def repeated_pair_run(simulate=run):
     """A spike of neuron 0 reaches neuron 3 twice and neuron 4 three times."""
     pre = [0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 4, 4]
     post = [3, 4, 3, 4, 4, 5, 3, 5, 4, 5, 1, 2]
@@ -243,7 +243,7 @@ def repeated_pair_run():
         synapse_overrides={(0, 4): {"weight": 0.3, "memory_kind": "analog"}, (1, 5): {"inhibitory": True}},
         inputs=(InputDrive(neuron=0, rate=3e5), InputDrive(neuron=1, rate=1e5)),
     )
-    spikes, ledger, report = run(graph, config)
+    spikes, ledger, report = simulate(graph, config)
     doc = {
         "spikes": [spikes.neurons, spikes.times],
         "ledger": ledger.as_dict(config.profile),

@@ -20,6 +20,8 @@ from oesnn.simulator import (
     power_report,
     run,
 )
+from reference_loop import reference_run
+from test_golden import repeated_pair_run
 
 
 def two_input_graph():
@@ -375,25 +377,43 @@ class TestGuards:
             synapse=SynapseDefaults(tau=1e-7, weight=0.3),
             inputs=(InputDrive(neuron=0, count=3, interval=1e-5, start=1e-6),),
         )
-        graph = fan_graph(40)
-        full = run(graph, config)
-        counters = full[1].counters
-        events = counters.forced_spikes + counters.detections + counters.misses + counters.suppressed
-        assert events == 3 * 41
-        exact = run(graph, dataclasses.replace(config, max_events=events))
-        assert exact[0].times == full[0].times
-        assert exact[1].as_dict(config.profile) == full[1].as_dict(config.profile)
-        arrival = [t + config.neuron.transmit_delay for t in full[0].times]
-        # Over budget at the last arrival, and at the third forced spike:
-        # the error lists the 32 events before it, one entry per event.
-        for budget, tail in [
-            (events - 1, [(arrival[2], "arrival", e) for e in range(7, 39)]),
-            (82, [(arrival[1], "arrival", e) for e in range(8, 40)]),
-        ]:
-            with pytest.raises(SimulationError, match=rf"event budget exceeded \({budget} events\)") as err:
-                run(graph, dataclasses.replace(config, max_events=budget))
-            assert err.value.trace_tail == tail
-            assert str(err.value).count("\n    (") == 32
+        # The same budget on a plastic run whose post neurons fire at every
+        # detection, and on a spike that reaches each post neuron twice.
+        plastic = dataclasses.replace(
+            config,
+            neuron=NeuronParams(threshold=0.5),
+            synapse=SynapseDefaults(tau=1e-7, weight=0.9, write_noise_std=0.02, endurance=4),
+            plasticity=StdpParams(a_plus=0.05, a_minus=0.05, tau_plus=1e-5, tau_minus=1e-5),
+        )
+        repeated = dataclasses.replace(
+            config,
+            synapse=SynapseDefaults(tau=1e-7, weight=0.6, memory_kind="loop", bits=6),
+            plasticity=StdpParams(a_plus=2, a_minus=2, tau_plus=1e-5, tau_minus=1e-5),
+        )
+        twice = NetworkGraph(n=21, pre=np.zeros(40, dtype=np.int64), post=1 + np.arange(40) % 20)
+        for graph, case in [(fan_graph(40), config), (fan_graph(40), plastic), (twice, repeated)]:
+            full = run(graph, case)
+            counters = full[1].counters
+            events = counters.forced_spikes + counters.detections + counters.misses + counters.suppressed
+            assert events == 3 * 41
+            assert (counters.stdp_writes > 0) == (case.plasticity is not None)
+            exact = run(graph, dataclasses.replace(case, max_events=events))
+            assert exact[0].neurons == full[0].neurons
+            assert exact[0].times == full[0].times
+            assert exact[1].as_dict(case.profile) == full[1].as_dict(case.profile)
+            assert exact[2].as_dict() == full[2].as_dict()
+            forced = [t for v, t in zip(full[0].neurons, full[0].times) if v == 0]
+            arrival = [t + case.neuron.transmit_delay for t in forced]
+            # Over budget at the last arrival, and at the third forced spike:
+            # the error lists the 32 events before it, one entry per event.
+            for budget, tail in [
+                (events - 1, [(arrival[2], "arrival", e) for e in range(7, 39)]),
+                (82, [(arrival[1], "arrival", e) for e in range(8, 40)]),
+            ]:
+                with pytest.raises(SimulationError, match=rf"event budget exceeded \({budget} events\)") as err:
+                    run(graph, dataclasses.replace(case, max_events=budget))
+                assert err.value.trace_tail == tail
+                assert str(err.value).count("\n    (") == 32
 
     def test_unknown_input_neuron(self):
         config = SimConfig(
@@ -446,15 +466,25 @@ class TestGuards:
 
 
 class TestBatchedArrivals:
-    """The batched loop against the arrival-by-arrival path as the reference.
+    """``run()`` against the arrival-by-arrival loop in ``reference_loop``.
 
-    Recording detections sends every arrival down the one-at-a-time path,
-    so the two runs of each case must agree exactly in everything else.
+    ``run()`` handles each spike's arrivals as one batch; the reference
+    handles them one at a time with scalar draws.  Both share the compile
+    and report phases, so each case must agree exactly in everything.
     """
 
     @pytest.mark.parametrize(
         "case",
-        ["cascade", "photodiode-poisson", "photodiode-deterministic", "dead-time-inhibitory"],
+        [
+            "cascade",
+            "photodiode-poisson",
+            "photodiode-deterministic",
+            "dead-time-inhibitory",
+            "stdp-analog-noisy",
+            "stdp-loop",
+            "stdp-loop-repeated-pairs",
+            "record-detections",
+        ],
     )
     def test_batches_match_single_arrivals(self, case):
         graph = generate_er(150, 12.0, seed=5)
@@ -467,6 +497,9 @@ class TestBatchedArrivals:
             inputs=tuple(InputDrive(neuron=v, rate=2e5) for v in (4, 60, 130)),
         )
         photodiode = OpticalLink(eta=0.01, n_ph=4950.0, receiver=ReceiverlessPhotodiode(), stochastic=True)
+        stdp_loop = StdpParams(a_plus=3, a_minus=3, tau_plus=1e-6, tau_minus=1e-6)
+        if case.startswith("stdp"):  # potentiation drives the network up: keep these runs short
+            config = dataclasses.replace(config, duration=3e-5)
         if case.startswith("photodiode"):
             if case.endswith("deterministic"):
                 photodiode = dataclasses.replace(photodiode, stochastic=False)
@@ -481,12 +514,39 @@ class TestBatchedArrivals:
                 synapse_overrides=inhibitory,
                 inputs=tuple(InputDrive(neuron=v, rate=1e6) for v in range(0, 150, 10)),
             )
+        elif case == "stdp-analog-noisy":
+            config = dataclasses.replace(
+                config,
+                synapse=SynapseDefaults(tau=1e-6, weight=0.55, write_noise_std=0.03, endurance=10),
+                plasticity=StdpParams(a_plus=0.05, a_minus=0.06, tau_plus=1e-6, tau_minus=1e-6),
+            )
+        elif case == "stdp-loop":
+            config = dataclasses.replace(config, plasticity=stdp_loop)
+        elif case == "stdp-loop-repeated-pairs":
+            # Every seventh edge twice: those spikes reach a post neuron twice.
+            graph = NetworkGraph(
+                n=graph.n,
+                pre=np.concatenate([graph.pre, graph.pre[::7]]),
+                post=np.concatenate([graph.post, graph.post[::7]]),
+            )
+            config = dataclasses.replace(config, plasticity=stdp_loop)
+        elif case == "record-detections":
+            config = dataclasses.replace(config, record_detections=True)
         results = []
-        for record in (False, True):
-            spikes, ledger, report = run(graph, dataclasses.replace(config, record_detections=record))
-            results.append((spikes.neurons, spikes.times, ledger.as_dict(config.profile), report.as_dict()))
+        for simulate in (run, reference_run):
+            spikes, ledger, report = simulate(graph, config)
+            doc = report.as_dict()
+            doc["detection_times"] = report.detection_times
+            results.append((spikes.neurons, spikes.times, ledger.as_dict(config.profile), doc))
         assert results[0] == results[1]
-        assert results[0][2]["counters"]["detections"] > 0
+        counters = results[0][2]["counters"]
+        assert counters["detections"] > 0
+        assert (counters["stdp_writes"] > 0) == (config.plasticity is not None)
+        if config.record_detections:
+            assert sum(map(len, results[0][3]["detection_times"])) == counters["detections"]
+
+    def test_repeated_pairs_match_single_arrivals(self):
+        assert repeated_pair_run() == repeated_pair_run(simulate=reference_run)
 
 
 class TestPowerReport:
