@@ -18,7 +18,6 @@ Top-level keys::
     neuron, synapse, energy   NeuronParams, SynapseDefaults, EnergyParams
     plasticity {kind: "off"} or {kind: "stdp", <StdpParams>}
     inputs     [InputDrive: neuron and exactly one of times | rate | count+interval]
-    record     {detections}
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .simulator import EnergyParams, InputDrive, NeuronParams, SimConfig, Synaps
 
 # Sections that are exactly the keyword arguments of one record.
 _RECORDS = {"neuron": NeuronParams, "synapse": SynapseDefaults, "energy": EnergyParams}
-_TOP_KEYS = {"name", "seed", "duration", "profile", "network", "link", "plasticity", "inputs", "record"}
+_TOP_KEYS = {"name", "seed", "duration", "profile", "network", "link", "plasticity", "inputs"}
 _TOP_KEYS |= _RECORDS.keys()
 
 
@@ -243,7 +242,7 @@ def _network(net, default_bits: int | None, problems: list) -> tuple[dict, dict]
         if pre is not None and post is not None:
             if pre == post:
                 problems.append(f"{where}: self-loop {pre}->{post} not allowed")
-            # Overrides are keyed by (pre, post), so a twin would silently share them.
+            # A graph holds each (pre, post) pair once.
             j = first_index.setdefault((pre, post), i)
             if j != i:
                 problems.append(f"{where}: duplicate edge {pre}->{post}, first at edges[{j}]")
@@ -298,10 +297,6 @@ def _read(doc) -> tuple[list[str], dict | None, SimConfig | None]:
         if inputs[-1] and n is not None and inputs[-1].neuron >= n:
             problems.append(f"{where}.neuron: node {inputs[-1].neuron} out of range [0, {n})")
     parts["inputs"] = tuple(inputs)
-    record = _object(doc.get("record"), "scenario.record", problems)
-    _check_unknown(record, {"detections"}, "record", problems)
-    if record.get("detections") is not None:
-        parts["record_detections"] = _value("record.detections", record["detections"], bool, {}, problems)
     if problems:
         return problems, None, None
     return [], network, SimConfig(**parts)

@@ -25,7 +25,11 @@ from .scaling import achievable_path_length
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Directed synaptic connectivity with an undirected metric view."""
+    """Directed synaptic connectivity with an undirected metric view.
+
+    Each (pre, post) pair is one synapse and appears once, so a spike
+    reaches each post neuron at most once.
+    """
 
     n: int
     pre: np.ndarray  # int64, source node of each directed edge
@@ -45,6 +49,11 @@ class NetworkGraph:
             raise DomainError("edge endpoints must lie in [0, n)")
         if np.any(pre == post):
             raise DomainError("self-loops are not allowed")
+        keys = np.sort(pre * self.n + post)
+        twins = keys[1:][keys[1:] == keys[:-1]]
+        if twins.size:
+            u, v = divmod(int(twins[0]), self.n)
+            raise DomainError(f"repeated synapse {u}->{v}; a graph holds each (pre, post) pair once")
 
     @property
     def edge_count(self) -> int:

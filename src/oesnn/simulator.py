@@ -15,9 +15,9 @@ merges the forced spikes, sorted by time, with a FIFO of per-spike
 arrival batches, and at equal times the forced spikes go first.  One
 handler takes every batch with array operations that reproduce, bit for
 bit, handling its arrivals one at a time in edge order, STDP writes
-included.  A spike that reaches one post neuron twice is handed over as
-batches of one arrival, and a batch that would exceed the event budget is
-cut at it.
+included.  A graph holds each (pre, post) pair once, so a spike reaches
+each post neuron at most once.  A batch that would exceed the event budget
+is cut at it, and an STDP write that faults stops the run.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
@@ -130,7 +130,9 @@ class InputDrive:
         if self.times is not None:
             t = np.asarray(self.times, dtype=np.float64)
         elif self.count is not None:
-            t = self.start + np.arange(self.count, dtype=np.float64) * self.interval
+            # Only the spikes that can fall inside the run; the mask below decides the last one.
+            count = int(max(0.0, min(self.count, (duration - self.start) / self.interval + 2)))
+            t = self.start + np.arange(count, dtype=np.float64) * self.interval
         else:
             if self.rate == 0 or self.start > duration:
                 return np.empty(0)
@@ -158,7 +160,6 @@ class SimConfig:
     plasticity: StdpParams | None = None
     inputs: tuple[InputDrive, ...] = ()
     energy: EnergyParams = EnergyParams()
-    record_detections: bool = False
     max_events: int = 10_000_000
 
     def __post_init__(self):
@@ -248,7 +249,6 @@ class SynapseReport:
     weights: list[float]
     levels: list[int | None]
     degraded: list[bool]
-    detection_times: list[list[float]] | None = None
     sqrt_fanin_update_estimate: float = 0.0  # accounting rule: spikes * sqrt(fan-in)
 
     def as_dict(self) -> dict:
@@ -301,7 +301,6 @@ class _Compiled:
     config: SimConfig
     out_edges: list[np.ndarray]
     in_edges: list[np.ndarray] | None
-    repeated_post: np.ndarray  # per neuron: one spike reaches some post neuron twice
     cells: list[MemoryCell]
     sign: np.ndarray
     increment: np.ndarray
@@ -320,7 +319,6 @@ class _Compiled:
     miss_count: np.ndarray
     sup_count: np.ndarray
     write_count: np.ndarray
-    detection_times: list[list[float]] | None
     ledger: EnergyLedger
     spikes: SpikeRecord
 
@@ -377,11 +375,6 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     if tau_soma is None:
         tau_soma = float(max(taus))
 
-    # A spike reaching one post neuron twice is handed over one arrival at a time.
-    keys = np.sort(graph.pre * n + graph.post)
-    repeated_post = np.zeros(n, dtype=bool)
-    repeated_post[keys[1:][keys[1:] == keys[:-1]] // n] = True
-
     times, neurons = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for i, drive in enumerate(config.inputs):
         if not 0 <= drive.neuron < n:
@@ -399,7 +392,6 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         config=config,
         out_edges=graph.out_edge_indices(),
         in_edges=graph.in_edge_indices() if config.plasticity is not None else None,
-        repeated_post=repeated_post,
         cells=cells,
         sign=sign,
         increment=increment,
@@ -418,7 +410,6 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         miss_count=np.zeros(n_edges, dtype=np.int64),
         sup_count=np.zeros(n_edges, dtype=np.int64),
         write_count=np.zeros(n_edges, dtype=np.int64),
-        detection_times=[[] for _ in range(n_edges)] if config.record_detections else None,
         ledger=EnergyLedger(per_neuron_source=np.zeros(n), per_neuron_receiver=np.zeros(n)),
         spikes=SpikeRecord(),
     )
@@ -443,7 +434,6 @@ def _loop(c: _Compiled) -> None:
     membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
     last_detection, last_pre_event = np.full(n_edges, -math.inf), np.full(n_edges, -math.inf)
     det_count, miss_count, sup_count, write_count = c.det_count, c.miss_count, c.sup_count, c.write_count
-    detection_times = c.detection_times
     ledger, spikes = c.ledger, c.spikes
     counters = ledger.counters
     per_neuron_source, per_neuron_receiver = ledger.per_neuron_source, ledger.per_neuron_receiver
@@ -458,7 +448,6 @@ def _loop(c: _Compiled) -> None:
     refractory = config.neuron.refractory
     delay = config.neuron.transmit_delay
     per_spike_overhead = config.energy.per_spike_overhead
-    repeated_post = c.repeated_post
 
     queue: deque[tuple[float, int]] = deque()
     trace: deque = deque(maxlen=32)
@@ -476,8 +465,7 @@ def _loop(c: _Compiled) -> None:
         if plasticity is not None:
             for e in in_edges[v].tolist():
                 if last_pre_event[e] > -math.inf:
-                    cells[e], applied = apply_stdp(last_pre_event[e], t, cells[e], plasticity, rng_noise)
-                    account_write(e, applied)
+                    stdp_write(e, last_pre_event[e], t)
         fanout = len(out_edges[v])
         if fanout:
             source, own = ledger.source_optical, float(per_neuron_source[v])
@@ -488,7 +476,12 @@ def _loop(c: _Compiled) -> None:
             counters.transmissions += fanout
             queue.append((t + delay, v))
 
-    def account_write(e: int, applied: float) -> None:
+    def stdp_write(e: int, pre_t: float, post_t: float) -> None:
+        """Apply the STDP pairing of edge ``e`` to its cell and account for the write."""
+        try:
+            cells[e], applied = apply_stdp(pre_t, post_t, cells[e], plasticity, rng_noise)
+        except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
+            raise SimulationError(f"synapse {e}: {exc}", trace) from None
         if applied == 0.0:
             return
         write_count[e] += 1
@@ -536,9 +529,6 @@ def _loop(c: _Compiled) -> None:
         det_count[edges] += 1
         counters.detections += edges.size
         last_detection[edges] = t
-        if detection_times is not None:
-            for e in edges.tolist():
-                detection_times[e].append(t)
         # One addition per detection, in edge order, so the ledger rounds as
         # it would one arrival at a time.
         if is_snspd:
@@ -576,8 +566,7 @@ def _loop(c: _Compiled) -> None:
         last_pre_event[edges] = t
         for e, v, up in zip(edges.tolist(), posts.tolist(), above.tolist()):
             if last_spike[v] > -math.inf:
-                cells[e], applied = apply_stdp(t, last_spike[v], cells[e], plasticity, rng_noise)
-                account_write(e, applied)
+                stdp_write(e, t, last_spike[v])
             if up and t - last_spike[v] >= refractory:
                 fire(v, t, forced=False)
 
@@ -612,11 +601,8 @@ def _loop(c: _Compiled) -> None:
         if over:
             edges = edges[: config.max_events - processed]
         processed += edges.size
-        # A spike that reaches one post neuron twice goes one arrival at a time.
-        batches = [edges[i : i + 1] for i in range(edges.size)] if repeated_post[pre] else [edges]
-        for batch in batches:
-            trace.extend((t, "arrival", e) for e in batch[-trace.maxlen :].tolist())
-            arrive(t, batch)
+        trace.extend((t, "arrival", e) for e in edges[-trace.maxlen :].tolist())
+        arrive(t, edges)
         if over:
             raise over_budget()
 
@@ -648,7 +634,6 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
         weights=[cell.weight for cell in cells],
         levels=[cell.level if isinstance(cell, LoopMemory) else None for cell in cells],
         degraded=[cell.degraded for cell in cells],
-        detection_times=c.detection_times,
         sqrt_fanin_update_estimate=estimate,
     )
     return spikes, ledger, report

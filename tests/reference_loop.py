@@ -108,8 +108,6 @@ def _reference_loop(c: _Compiled) -> None:
         c.det_count[e] += 1
         counters.detections += 1
         last_detection[e] = t
-        if c.detection_times is not None:
-            c.detection_times[e].append(t)
         if is_snspd:
             ledger.detector_reset += c.e_reset
             per_neuron_receiver[v] += c.e_reset

@@ -287,6 +287,50 @@ class TestSimulate:
         assert code == 3
         assert "bits" in err
 
+    def test_record_section_exit_code_three(self, capsys, tmp_path):
+        doc = load_scenario("two-synapse-coincidence")
+        doc["record"] = {"detections": True}
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 3
+        assert "scenario: unknown key 'record'" in err
+
+    def test_endurance_fault_exit_code_four(self, capsys, tmp_path):
+        doc = {
+            "seed": 1,
+            "duration": 1e-4,
+            "network": {"n": 2, "edges": [{"pre": 0, "post": 1}]},
+            "link": {"n_ph": 7.0, "eta": 0.01, "stochastic": False},
+            "neuron": {"threshold": 0.5},
+            "synapse": {"weight": 0.9, "endurance": 1},
+            "plasticity": {"kind": "stdp", "on_exhaustion": "fault"},
+            "inputs": [{"neuron": 0, "count": 20, "interval": 2e-6}],
+        }
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 4
+        assert "simulation error: synapse 0: analog memory endurance exhausted" in err
+        assert "last events:" in err
+        assert not (tmp_path / "ledger.json").exists()
+
+    def test_count_input_beyond_duration_keeps_bytes(self, capsys, tmp_path):
+        # A count far beyond the run schedules only the spikes inside it.
+        doc = load_scenario("ledger-fanout")
+        doc["duration"] = 1e-6
+        outputs = []
+        for count in (1e12, 2):  # spikes at 0 and 1 us fall inside the run
+            doc["inputs"] = [{"neuron": 0, "count": count, "interval": 1e-6}]
+            path = tmp_path / "count.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"out-{count:g}"
+            code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--out", str(out))
+            assert code == 0
+            outputs.append([(out / name).read_bytes() for name in ("spikes.csv", "ledger.json")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].decode().count("\n0,") == 2
+
     def test_rate_input_starting_after_duration_draws_no_spikes(self, capsys, tmp_path):
         doc = load_scenario("poisson-link")
         doc["inputs"] = [{"neuron": 0, "rate": 1e6, "start": 2 * doc["duration"]}]

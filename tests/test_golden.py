@@ -8,9 +8,7 @@ accounting on single-photon detectors; Poisson-threshold photodiodes,
 with STDP on noisy, endurance-limited analog memory and without; a zero
 transmit delay, so that spikes cascade within one instant; heavy detector
 dead-time suppression; deterministic photodiodes; and mixed loop and
-analog edge overrides with inhibitory edges.  One more digest pins ``run()`` itself on
-a directly built graph whose ``(pre, post)`` pairs repeat, which no
-scenario document can describe.
+analog edge overrides with inhibitory edges.
 
 A change that alters the bytes on purpose updates the table below from
 the digests the failing test prints, and says so.
@@ -19,14 +17,10 @@ the digests the failing test prints, and says so.
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from oesnn.cli import main
 from oesnn.config import bundled_scenario_names
-from oesnn.linkbudget import OpticalLink, SnspdReceiver
-from oesnn.netgen import NetworkGraph
-from oesnn.simulator import InputDrive, NeuronParams, SimConfig, SynapseDefaults, run
 
 SNSPD_LINK = {
     "wavelength": 1.5e-6,
@@ -224,34 +218,3 @@ def test_output_bytes_match_golden_digests(name, tmp_path, capsys):
     got = (_sha256(out / "spikes.csv"), _sha256(out / "ledger.json"))
     assert got == GOLDEN[name], f"new digests for {name!r}: {got!r}"
 
-
-# sha256 of the JSON of run()'s three results on repeated_pair_run().
-REPEATED_PAIR_RUN = "b2fe26fd193951acd482d56e42e324cf0f1fe287cccc10bdf4d4020d5e5d1275"
-
-
-def repeated_pair_run(simulate=run):
-    """A spike of neuron 0 reaches neuron 3 twice and neuron 4 three times."""
-    pre = [0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 4, 4]
-    post = [3, 4, 3, 4, 4, 5, 3, 5, 4, 5, 1, 2]
-    graph = NetworkGraph(n=6, pre=np.array(pre), post=np.array(post))
-    config = SimConfig(
-        duration=1e-4,
-        seed=17,
-        link=OpticalLink(wavelength=1.5e-6, eta=0.01, n_ph=3.0, receiver=SnspdReceiver(eta_d=0.7)),
-        neuron=NeuronParams(threshold=1.0, refractory=5e-8, transmit_delay=5e-8),
-        synapse=SynapseDefaults(tau=5e-7, weight=0.4, memory_kind="loop", bits=6),
-        synapse_overrides={(0, 4): {"weight": 0.3, "memory_kind": "analog"}, (1, 5): {"inhibitory": True}},
-        inputs=(InputDrive(neuron=0, rate=3e5), InputDrive(neuron=1, rate=1e5)),
-    )
-    spikes, ledger, report = simulate(graph, config)
-    doc = {
-        "spikes": [spikes.neurons, spikes.times],
-        "ledger": ledger.as_dict(config.profile),
-        "report": report.as_dict(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def test_run_on_repeated_pairs_matches_golden_digest():
-    got = hashlib.sha256(repeated_pair_run().encode()).hexdigest()
-    assert got == REPEATED_PAIR_RUN, f"new digest: {got!r}"

@@ -60,6 +60,13 @@ class TestGraphInvariants:
         with pytest.raises(DomainError):
             NetworkGraph(n=3, pre=np.array([0]), post=np.array([5]))
 
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(DomainError, match=r"repeated synapse 2->1"):
+            NetworkGraph(n=3, pre=np.array([0, 2, 1, 2]), post=np.array([1, 1, 0, 1]))
+        # The reciprocal pair is two synapses.
+        g = NetworkGraph(n=2, pre=np.array([0, 1]), post=np.array([1, 0]))
+        assert g.edge_count == 2
+
     def test_edge_grouping(self):
         g = NetworkGraph(n=3, pre=np.array([0, 0, 1]), post=np.array([1, 2, 2]))
         outs = g.out_edge_indices()
@@ -73,8 +80,10 @@ class TestGraphInvariants:
         pre, post = rng.integers(0, n, 300), rng.integers(0, n, 300)
         keep = pre != post
         pre, post = pre[keep], post[keep]
-        # Every tenth edge also runs the other way, and a few repeat.
-        pre, post = np.concatenate([pre, post[::10], pre[:5]]), np.concatenate([post, pre[::10], post[:5]])
+        # Every tenth edge also runs the other way; a graph holds each directed pair once.
+        pre, post = np.concatenate([pre, post[::10]]), np.concatenate([post, pre[::10]])
+        first = np.sort(np.unique(pre * n + post, return_index=True)[1])
+        pre, post = pre[first], post[first]
         g = NetworkGraph(n=n, pre=pre, post=post)
         reference = sorted({(min(u, v), max(u, v)) for u, v in zip(pre.tolist(), post.tolist())})
         pairs = g.undirected_edges()

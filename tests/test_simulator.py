@@ -21,7 +21,6 @@ from oesnn.simulator import (
     run,
 )
 from reference_loop import reference_run
-from test_golden import repeated_pair_run
 
 
 def two_input_graph():
@@ -171,6 +170,18 @@ class TestDetectionStatistics:
         assert ledger.counters.misses == 0
 
 
+def detection_times(config):
+    """Times of the detections on ``chain_graph()``'s one synapse, read as neuron 1's spikes.
+
+    ``config`` sets a threshold at or below the weight and no refractory
+    period, so every detection fires neuron 1 at once.
+    """
+    spikes, ledger, _ = run(chain_graph(), config)
+    times = [t for v, t in zip(spikes.neurons, spikes.times) if v == 1]
+    assert len(times) == ledger.counters.detections
+    return times, ledger
+
+
 class TestDeadTime:
     def test_no_two_detections_within_reset_time(self):
         receiver = SnspdReceiver(max_count_rate=2e6)  # 500 ns dead time
@@ -179,13 +190,12 @@ class TestDeadTime:
             duration=1e-3,
             seed=3,
             link=link,
-            neuron=NeuronParams(threshold=1e9),
+            neuron=NeuronParams(threshold=0.1, refractory=0.0),
             synapse=SynapseDefaults(tau=1e-8, weight=0.1),
             inputs=(InputDrive(neuron=0, count=1000, interval=1e-7),),  # 10x too fast
-            record_detections=True,
         )
-        _, ledger, report = run(chain_graph(), config)
-        times = np.array(report.detection_times[0])
+        times, ledger = detection_times(config)
+        times = np.array(times)
         gaps = np.diff(times)
         assert gaps.min() >= receiver.reset_time - 1e-15
         measured_rate = len(times) / (times[-1] - times[0])
@@ -294,13 +304,11 @@ class TestDeterminism:
                 duration=1e-3,
                 seed=seed,
                 link=snspd_link(n_ph=2.0, stochastic=True),
-                neuron=NeuronParams(threshold=1e9),
+                neuron=NeuronParams(threshold=0.1, refractory=0.0),
                 synapse=SynapseDefaults(tau=1e-8, weight=0.1),
                 inputs=(InputDrive(neuron=0, count=500, interval=1e-6),),
-                record_detections=True,
             )
-            _, _, report = run(chain_graph(), config)
-            return report.detection_times[0]
+            return detection_times(config)[0]
 
         assert run_with_seed(1) != run_with_seed(2)
 
@@ -322,6 +330,29 @@ class TestPlasticityInRun:
         assert report.levels[0] > start_level
         assert report.writes[0] > 0
         assert ledger.memory_update == pytest.approx(ledger.counters.stdp_writes * 1e-15, rel=1e-12)
+
+    @pytest.mark.parametrize("site", ["potentiation", "depression"])
+    def test_endurance_fault_stops_run(self, site):
+        config = SimConfig(
+            duration=1e-4,
+            seed=8,
+            link=snspd_link(),
+            neuron=NeuronParams(threshold=0.5),
+            synapse=SynapseDefaults(weight=0.9, endurance=1),
+            plasticity=StdpParams(on_exhaustion="fault"),
+            inputs=(InputDrive(neuron=0, count=20, interval=2e-6),),
+        )
+        last = (2e-6 + config.neuron.transmit_delay, "arrival", 0)
+        if site == "potentiation":  # neuron 1 stays below threshold and is driven twice
+            config = dataclasses.replace(
+                config,
+                neuron=NeuronParams(threshold=10.0),
+                inputs=(InputDrive(neuron=0, times=(1e-6,)), InputDrive(neuron=1, times=(2e-6, 3e-6))),
+            )
+            last = (3e-6, "forced", 1)
+        with pytest.raises(SimulationError, match="synapse 0: analog memory endurance exhausted") as err:
+            run(chain_graph(), config)
+        assert err.value.trace_tail[-1] == last
 
     def test_update_estimate_reports_sqrt_fanin_rule(self):
         graph = two_input_graph()
@@ -377,21 +408,14 @@ class TestGuards:
             synapse=SynapseDefaults(tau=1e-7, weight=0.3),
             inputs=(InputDrive(neuron=0, count=3, interval=1e-5, start=1e-6),),
         )
-        # The same budget on a plastic run whose post neurons fire at every
-        # detection, and on a spike that reaches each post neuron twice.
+        # The same budget on a plastic run whose post neurons fire at every detection.
         plastic = dataclasses.replace(
             config,
             neuron=NeuronParams(threshold=0.5),
             synapse=SynapseDefaults(tau=1e-7, weight=0.9, write_noise_std=0.02, endurance=4),
             plasticity=StdpParams(a_plus=0.05, a_minus=0.05, tau_plus=1e-5, tau_minus=1e-5),
         )
-        repeated = dataclasses.replace(
-            config,
-            synapse=SynapseDefaults(tau=1e-7, weight=0.6, memory_kind="loop", bits=6),
-            plasticity=StdpParams(a_plus=2, a_minus=2, tau_plus=1e-5, tau_minus=1e-5),
-        )
-        twice = NetworkGraph(n=21, pre=np.zeros(40, dtype=np.int64), post=1 + np.arange(40) % 20)
-        for graph, case in [(fan_graph(40), config), (fan_graph(40), plastic), (twice, repeated)]:
+        for graph, case in [(fan_graph(40), config), (fan_graph(40), plastic)]:
             full = run(graph, case)
             counters = full[1].counters
             events = counters.forced_spikes + counters.detections + counters.misses + counters.suppressed
@@ -482,8 +506,6 @@ class TestBatchedArrivals:
             "dead-time-inhibitory",
             "stdp-analog-noisy",
             "stdp-loop",
-            "stdp-loop-repeated-pairs",
-            "record-detections",
         ],
     )
     def test_batches_match_single_arrivals(self, case):
@@ -522,31 +544,14 @@ class TestBatchedArrivals:
             )
         elif case == "stdp-loop":
             config = dataclasses.replace(config, plasticity=stdp_loop)
-        elif case == "stdp-loop-repeated-pairs":
-            # Every seventh edge twice: those spikes reach a post neuron twice.
-            graph = NetworkGraph(
-                n=graph.n,
-                pre=np.concatenate([graph.pre, graph.pre[::7]]),
-                post=np.concatenate([graph.post, graph.post[::7]]),
-            )
-            config = dataclasses.replace(config, plasticity=stdp_loop)
-        elif case == "record-detections":
-            config = dataclasses.replace(config, record_detections=True)
         results = []
         for simulate in (run, reference_run):
             spikes, ledger, report = simulate(graph, config)
-            doc = report.as_dict()
-            doc["detection_times"] = report.detection_times
-            results.append((spikes.neurons, spikes.times, ledger.as_dict(config.profile), doc))
+            results.append((spikes.neurons, spikes.times, ledger.as_dict(config.profile), report.as_dict()))
         assert results[0] == results[1]
         counters = results[0][2]["counters"]
         assert counters["detections"] > 0
         assert (counters["stdp_writes"] > 0) == (config.plasticity is not None)
-        if config.record_detections:
-            assert sum(map(len, results[0][3]["detection_times"])) == counters["detections"]
-
-    def test_repeated_pairs_match_single_arrivals(self):
-        assert repeated_pair_run() == repeated_pair_run(simulate=reference_run)
 
 
 class TestPowerReport:
