@@ -9,8 +9,9 @@ Verbs::
     validate-eq6 --n N --k K         empirical check of the degree/path model
     membench [--tech FILE]           score memory technologies
 
-Exit codes: 0 success, 2 usage error, 3 scenario validation error, 4
-simulation error (for example an exceeded event budget).  The default
+Exit codes: 0 success, 2 usage error (such as a ``calc`` parameter that
+is not a finite number), 3 an invalid scenario document or technology
+table, 4 simulation error (for example an exceeded event budget).  The default
 output directory is $OESNN_OUT or ./out.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -356,7 +358,9 @@ def _parse_calc_params(formula: Formula, tokens: list[str]) -> tuple[dict, str]:
         try:
             values[key] = float(raw)
         except ValueError:
-            raise UsageError(f"--{key} expects a number, got {raw!r}") from None
+            values[key] = math.nan
+        if not math.isfinite(values[key]):
+            raise UsageError(f"--{key} expects a finite number, got {raw!r}")
     missing = [k for k, v in values.items() if v is None]
     if missing:
         raise UsageError(
@@ -566,6 +570,7 @@ def cmd_validate(args) -> int:
                 "k": args.k,
                 "seeds": args.seeds,
                 "tolerance": args.tolerance,
+                "sample_sources": args.sample_sources,
             },
         },
     )

@@ -2,12 +2,13 @@
 
 A scenario is a single JSON object, and most of its sections are the
 fields of a parameter record.  The allowed keys, their JSON types
-(boolean, string choice, integer or number) and their bounds all come
-from that record, the same declarations it checks when it is made.  A
-``null`` value counts as absent, so the record's default applies, and
-numbers must be finite.  The walk reports every violation at once, and
-unknown keys anywhere are rejected so typos cannot silently disable a
-setting.
+(boolean, string, string choice, integer or number) and their bounds
+all come from that record, the same declarations it checks when it is
+made.  A ``null`` value counts as absent, so the record's default
+applies, and numbers must be finite.  The walk reports every violation
+at once, and unknown keys anywhere are rejected so typos cannot
+silently disable a setting.  :func:`read_records` reads each entry of a
+list, such as a technology table, the same way.
 
 Top-level keys::
 
@@ -66,31 +67,54 @@ def bundled_scenario_names() -> list[str]:
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def load_scenario(path_or_name: str) -> dict:
-    """Read a scenario document from a file path or a bundled name."""
-    names = bundled_scenario_names()
-    if path_or_name in names:
-        text = (
-            resources.files("oesnn").joinpath(f"scenarios/{path_or_name}.json").read_text("utf-8")
-        )
-    else:
-        try:
-            with open(path_or_name, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            raise ConfigError(
-                [f"no such scenario file or bundled name: {path_or_name!r} (bundled: {', '.join(names)})"]
-            ) from None
-        except OSError as exc:  # a directory, no permission, a read failure
-            raise ConfigError([f"{path_or_name}: cannot read scenario file: {exc.strerror or exc}"]) from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError([f"{path_or_name}: not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
+def read_json(path, what: str, hint: str = ""):
+    """The JSON value in the file at ``path``, a ``what`` in error messages.
+
+    A missing file (``hint`` follows its message), one that cannot be
+    read, text that is not UTF-8 and text that is not JSON each raise
+    :class:`ConfigError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError([f"no such {what}: {str(path)!r}{hint}"]) from None
+    except OSError as exc:  # a directory, no permission, a read failure
+        raise ConfigError([f"{path}: cannot read {what}: {exc.strerror or exc}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            [f"{path_or_name}: not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"]
+            [f"{path}: not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"]
         ) from None
+
+
+def load_scenario(path_or_name: str) -> dict:
+    """Read a scenario document from a file path or a bundled name."""
+    names = bundled_scenario_names()
+    if path_or_name in names:
+        text = resources.files("oesnn").joinpath(f"scenarios/{path_or_name}.json").read_text("utf-8")
+        return json.loads(text)
+    return read_json(path_or_name, "scenario file", f" (nor a bundled name: {', '.join(names)})")
+
+
+def read_records(cls, entries, where: str) -> list:
+    """Each entry of the JSON list ``entries`` as a record ``cls``, read as a scenario section is.
+
+    Raises :class:`ConfigError` listing every problem.
+    """
+    if not isinstance(entries, list):
+        raise ConfigError([f"{where}: expected a list"])
+    problems: list[str] = []
+    records = [
+        _record(cls, _object(entry, f"{where}[{i}]", problems), f"{where}[{i}]", problems)
+        for i, entry in enumerate(entries)
+    ]
+    if problems:
+        raise ConfigError(problems)
+    return records
 
 
 def validate_scenario(doc: dict) -> list[str]:
@@ -139,6 +163,8 @@ def _value(name: str, v, hint, bounds, problems: list):
         return None if None in items else tuple(items)
     if hint is bool:
         problem = None if isinstance(v, bool) else f"{name}: expected a boolean"
+    elif hint is str:
+        problem = None if isinstance(v, str) else f"{name}: expected a string, got {v!r}"
     elif typing.get_origin(hint) is typing.Literal:
         problem = bound_problem(name, v, hint, bounds)
     elif isinstance(v, bool) or not isinstance(v, (int, float)):

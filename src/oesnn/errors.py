@@ -19,14 +19,14 @@ class InfeasibleError(DomainError):
 
 
 class ConfigError(ValueError):
-    """A scenario document violates the config schema.
+    """A scenario document or a technology table cannot be read or breaks its schema.
 
-    Collects every problem found so a bad config is reported in one pass.
+    Collects every problem found so a bad document is reported in one pass.
     """
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid scenario config:\n" + "\n".join(f"  - {p}" for p in self.problems))
+        super().__init__("invalid document:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
 class SimulationError(RuntimeError):

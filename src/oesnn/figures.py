@@ -1,14 +1,17 @@
 """Builders for the bundled figure datasets.
 
 Each builder sweeps one of the design-space models over a default grid and
-returns a :class:`~oesnn.datasets.Dataset` whose provenance records the
-figure id and every parameter value.  Grids and parameters are plain
+returns a :class:`~oesnn.datasets.Dataset`.  Grids and parameters are plain
 keyword arguments so any figure can be regenerated under different
-assumptions.
+assumptions.  :func:`build_figure` binds the overrides to the builder's
+signature, and the provenance records the figure id and every argument
+the builder ran with, defaults included.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -33,15 +36,6 @@ WIDTH_LADDER_M = tuple(
 ) + (1e-3,)
 
 
-def _provenance(figure: str, seed: int | None, **params) -> dict:
-    return {
-        "figure": figure,
-        "version": __version__,
-        "seed": seed,
-        "parameters": params,
-    }
-
-
 def fig3(
     fanout: float = 1000.0,
     c_tot: float = 1e-15,
@@ -60,23 +54,7 @@ def fig3(
         (float(r), transmitter_power(fanout, e_rx, float(r), eta).value)
         for r in rates
     ]
-    return Dataset(
-        name="transmitter-power-vs-rate",
-        columns=("spike_rate_hz", "optical_power_w"),
-        rows=rows,
-        provenance=_provenance(
-            "fig3",
-            None,
-            fanout=fanout,
-            c_tot=c_tot,
-            v_swing=v_swing,
-            eta=eta,
-            wavelength=wavelength,
-            rate_min_hz=rate_min_hz,
-            rate_max_hz=rate_max_hz,
-            points=points,
-        ),
-    )
+    return Dataset(name="transmitter-power-vs-rate", columns=("spike_rate_hz", "optical_power_w"), rows=rows)
 
 
 def fig4(
@@ -99,18 +77,6 @@ def fig4(
         name="integration-planes-vs-population",
         columns=("n_300", "degree", "p_p", "p_e"),
         rows=rows,
-        provenance=_provenance(
-            "fig4",
-            None,
-            path_length=path_length,
-            w_wg=w_wg,
-            w_sy=w_sy,
-            n_min=n_min,
-            n_max=n_max,
-            points=points,
-            wafer_diameter=wafer_diameter,
-            fill_factor=fill_factor,
-        ),
     )
 
 
@@ -131,22 +97,7 @@ def fig6(
         for n in sizes:
             rate = max_average_spike_rate(power_budget, float(n), fanout, e_event).value
             rows.append((float(n), float(eta), rate))
-    return Dataset(
-        name="spike-rate-vs-size-budget",
-        columns=("n_neurons", "eta", "max_rate_hz"),
-        rows=rows,
-        provenance=_provenance(
-            "fig6",
-            None,
-            power_budget=power_budget,
-            fanout=fanout,
-            receiver_energy=receiver_energy,
-            etas=list(etas),
-            n_min=n_min,
-            n_max=n_max,
-            points=points,
-        ),
-    )
+    return Dataset(name="spike-rate-vs-size-budget", columns=("n_neurons", "eta", "max_rate_hz"), rows=rows)
 
 
 def fig7(widths_m: tuple[float, ...] = WIDTH_LADDER_M) -> Dataset:
@@ -163,7 +114,6 @@ def fig7(widths_m: tuple[float, ...] = WIDTH_LADDER_M) -> Dataset:
         name="max-time-constant-vs-width",
         columns=("width_m", "cmos_tau_s", "sc_tau_s"),
         rows=rows,
-        provenance=_provenance("fig7", None, widths_m=list(widths_m)),
     )
 
 
@@ -179,14 +129,7 @@ def fig8(
     for path in path_lengths:
         for n in sizes:
             rows.append((float(n), float(path), required_degree(float(n), path)))
-    return Dataset(
-        name="degree-vs-size",
-        columns=("n_total", "path_length", "degree"),
-        rows=rows,
-        provenance=_provenance(
-            "fig8", None, path_lengths=list(path_lengths), n_min=n_min, n_max=n_max, points=points
-        ),
-    )
+    return Dataset(name="degree-vs-size", columns=("n_total", "path_length", "degree"), rows=rows)
 
 
 def fig9(
@@ -218,16 +161,6 @@ def fig9(
         name="path-length-vs-feature-size",
         columns=("axis", "n_300", "planes", "width_m", "max_degree", "path_length", "feasible"),
         rows=rows,
-        provenance=_provenance(
-            "fig9",
-            None,
-            axes=list(axes),
-            n_300_list=list(n_300_list),
-            planes_list=list(planes_list),
-            widths_m=list(widths_m),
-            wafer_diameter=wafer_diameter,
-            fill_factor=fill_factor,
-        ),
     )
 
 
@@ -242,11 +175,18 @@ FIGURES = {
 
 
 def build_figure(figure_id: str, **overrides) -> Dataset:
-    """Build one bundled figure dataset, applying keyword overrides."""
+    """Build one bundled figure dataset, applying keyword overrides.
+
+    An override the builder does not take is a :class:`TypeError`.
+    """
     try:
         builder = FIGURES[figure_id]
     except KeyError:
         raise DomainError(
             f"unknown figure {figure_id!r}; available: {', '.join(sorted(FIGURES))}"
         ) from None
-    return builder(**overrides)
+    bound = inspect.signature(builder).bind(**overrides)
+    bound.apply_defaults()
+    parameters = {k: list(v) if isinstance(v, tuple) else v for k, v in bound.arguments.items()}
+    provenance = {"figure": figure_id, "version": __version__, "seed": None, "parameters": parameters}
+    return dataclasses.replace(builder(**bound.arguments), provenance=provenance)

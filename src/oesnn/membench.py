@@ -6,6 +6,10 @@ L*f/sqrt(N) writes; update power stays below communication power when
 E_update < sqrt(N)*E_opt; and updates must fit inside the minimum
 inter-spike interval 1/f_max.  Technology entries with missing numbers
 score "unknown" on the affected metrics, never "pass".
+
+A technology table is a JSON list of entries whose keys are the fields of
+:class:`MemoryTechSpec`; it is read, and each entry checked against the
+field types and bounds, by the same walk as a scenario section.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DomainError
+from .config import read_json, read_records
+from .errors import DomainError, bounded, check_bounds
 from .quantities import ENERGY, Quantity
 
 
@@ -23,15 +28,14 @@ from .quantities import ENERGY, Quantity
 class SystemAssumptions:
     """Operating point the targets are derived from."""
 
-    lifetime: float = 1e9  # s, decades-scale system lifetime
-    mean_rate: float = 10e3  # Hz
-    fanin: float = 1000.0
-    e_opt: float = 100e-15  # J per spike at the transmitter
-    max_rate: float = 10e6  # Hz
+    lifetime: float = bounded(1e9, gt=0)  # s, decades-scale system lifetime
+    mean_rate: float = bounded(10e3, gt=0)  # Hz
+    fanin: float = bounded(1000.0, ge=1)
+    e_opt: float = bounded(100e-15, gt=0)  # J per spike at the transmitter
+    max_rate: float = bounded(10e6, gt=0)  # Hz
 
     def __post_init__(self):
-        if min(self.lifetime, self.mean_rate, self.fanin, self.e_opt, self.max_rate) <= 0:
-            raise DomainError("all assumptions must be positive")
+        check_bounds(self)
         if self.mean_rate > self.max_rate:
             raise DomainError("mean_rate cannot exceed max_rate")
 
@@ -47,33 +51,24 @@ class MemoryTechSpec:
     """
 
     name: str
-    endurance: float | None = None  # lifetime writes
-    update_energy: float | None = None  # J
-    update_time: float | None = None  # s
-    precision_bits: int | None = None
+    endurance: float | None = bounded(None, gt=0)  # lifetime writes
+    update_energy: float | None = bounded(None, gt=0)  # J
+    update_time: float | None = bounded(None, gt=0)  # s
+    precision_bits: int | None = bounded(None, ge=1)
     volatile_on_warmup: bool | None = None
     programming_voltage: float | None = None  # informational
 
     def __post_init__(self):
-        for attr in ("endurance", "update_energy", "update_time"):
-            v = getattr(self, attr)
-            if v is not None and v <= 0:
-                raise DomainError(f"{self.name}: {attr} must be positive when given")
-        if self.precision_bits is not None and self.precision_bits < 1:
-            raise DomainError(f"{self.name}: precision_bits must be >= 1 when given")
+        check_bounds(self)
 
 
 def lifetime_updates(a: SystemAssumptions = DEFAULT_ASSUMPTIONS) -> float:
     """Writes a synapse sees over the system lifetime: L*f/sqrt(N)."""
-    if a.fanin < 1:
-        raise DomainError("fanin must be at least 1")
     return a.lifetime * a.mean_rate / math.sqrt(a.fanin)
 
 
 def max_update_energy(a: SystemAssumptions = DEFAULT_ASSUMPTIONS) -> Quantity:
     """Largest per-write energy that keeps updates below link power: sqrt(N)*E_opt."""
-    if a.fanin < 1:
-        raise DomainError("fanin must be at least 1")
     return Quantity(math.sqrt(a.fanin) * a.e_opt, ENERGY)
 
 
@@ -176,26 +171,15 @@ def score_technology(tech: MemoryTechSpec, a: SystemAssumptions = DEFAULT_ASSUMP
 
 
 def load_technologies(path=None) -> list[MemoryTechSpec]:
-    """Load technology entries from JSON; bundled table when no path given."""
+    """Load technology entries from a JSON list; bundled table when no path given.
+
+    Each entry is read as the fields of :class:`MemoryTechSpec`; a table
+    that cannot be read or breaks them raises
+    :class:`~oesnn.errors.ConfigError` listing every problem.
+    """
     if path is None:
         text = resources.files("oesnn").joinpath("data/memory_technologies.json").read_text("utf-8")
+        doc = json.loads(text)
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    known = {
-        "name",
-        "endurance",
-        "update_energy",
-        "update_time",
-        "precision_bits",
-        "volatile_on_warmup",
-        "programming_voltage",
-    }
-    techs = []
-    for entry in doc:
-        unknown = set(entry) - known
-        if unknown:
-            raise DomainError(f"unknown technology fields: {sorted(unknown)}")
-        techs.append(MemoryTechSpec(**entry))
-    return techs
+        doc = read_json(path, "technology table")
+    return read_records(MemoryTechSpec, doc, "technologies")

@@ -11,8 +11,9 @@ at room temperature rather than on the chip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
-from .errors import DomainError
+from .errors import DomainError, bounded, check_bounds
 from .quantities import (
     CAPACITANCE,
     CURRENT,
@@ -52,30 +53,23 @@ class PlatformProfile:
     """Shared constants for one hardware platform."""
 
     name: str
-    kind: str  # "superconducting" | "semiconductor"
-    specific_power: float  # refrigeration W per W of cold dissipation (1 = none)
+    kind: Literal["superconducting", "semiconductor"]
+    specific_power: float = bounded(ge=1)  # refrigeration W per W of cold dissipation (1 = none)
     t_hot: float  # K
-    t_cold: float  # K
-    power_density_limit: float  # W/m^2
+    t_cold: float = bounded(gt=0)  # K
+    power_density_limit: float = bounded(gt=0)  # W/m^2
     wavelength: float = 1.5e-6  # m
-    default_eta: float = 0.01
+    default_eta: float = bounded(0.01, gt=0, le=1)
 
     def __post_init__(self):
-        if self.kind not in ("superconducting", "semiconductor"):
-            raise DomainError(f"unknown platform kind {self.kind!r}")
-        if self.specific_power < 1.0:
-            raise DomainError("specific_power must be >= 1")
-        if not self.t_hot > self.t_cold > 0:
-            raise DomainError("need t_hot > t_cold > 0")
-        if self.power_density_limit <= 0:
-            raise DomainError("power_density_limit must be positive")
+        check_bounds(self)
+        if not self.t_hot > self.t_cold:
+            raise DomainError("need t_hot > t_cold")
         floor = carnot_specific_power(self.t_hot, self.t_cold)
         if self.specific_power < floor:
             raise DomainError(
                 f"specific_power {self.specific_power} beats the thermodynamic floor {floor:.1f}"
             )
-        if not 0.0 < self.default_eta <= 1.0:
-            raise DomainError("default_eta must lie in (0, 1]")
 
 
 SUPERCONDUCTING_4K = PlatformProfile(
@@ -204,30 +198,26 @@ def fluxon_budget(e_budget, i_c) -> float:
 class CmosTimeConstantSpec:
     """Subthreshold leaky-integrator parameters for a CMOS synapse."""
 
-    c_density: float = 20e-15 / 1e-12  # F/m^2: high-k MIM capacitor, 20 fF/um^2
-    v_th: float = 25e-3  # thermal voltage, V
-    kappa: float = 1.0  # subthreshold slope factor
-    i_tau: float = 10e-15  # leak current, A
+    c_density: float = bounded(20e-15 / 1e-12, gt=0)  # F/m^2: high-k MIM capacitor, 20 fF/um^2
+    v_th: float = bounded(25e-3, gt=0)  # thermal voltage, V
+    kappa: float = bounded(1.0, gt=0, le=2)  # subthreshold slope factor
+    i_tau: float = bounded(10e-15, gt=0)  # leak current, A
 
     def __post_init__(self):
-        if min(self.c_density, self.v_th, self.i_tau) <= 0:
-            raise DomainError("c_density, v_th and i_tau must be positive")
-        if not 0.0 < self.kappa <= 2.0:
-            raise DomainError(f"kappa must lie in (0, 2], got {self.kappa}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class ScTimeConstantSpec:
     """Inductor/resistor fabrication parameters for a superconducting synapse."""
 
-    l_square: float = 160e-12  # H per square (high-kinetic-inductance film)
-    r_s: float = 1e-3  # sheet resistance, ohm per square (thick normal metal at 4 K)
-    w_wire: float = 100e-9  # minimum wire width, m
-    w_gap: float = 100e-9  # minimum gap, m
+    l_square: float = bounded(160e-12, gt=0)  # H per square (high-kinetic-inductance film)
+    r_s: float = bounded(1e-3, gt=0)  # sheet resistance, ohm per square (thick normal metal at 4 K)
+    w_wire: float = bounded(100e-9, gt=0)  # minimum wire width, m
+    w_gap: float = bounded(100e-9, gt=0)  # minimum gap, m
 
     def __post_init__(self):
-        if min(self.l_square, self.r_s, self.w_wire, self.w_gap) <= 0:
-            raise DomainError("all fabrication parameters must be positive")
+        check_bounds(self)
 
 
 CMOS_TIME_CONSTANT_DEFAULTS = CmosTimeConstantSpec()

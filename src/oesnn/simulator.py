@@ -126,23 +126,33 @@ class InputDrive:
         if self.count is not None and self.interval is None:
             raise DomainError("count drives need an interval")
 
-    def schedule(self, duration: float, rng) -> np.ndarray:
+    def schedule(self, duration: float, rng, max_events: int) -> np.ndarray:
+        """The drive's spike times inside ``[0, duration]``.
+
+        A ``count`` or ``rate`` drive keeps at most ``max_events + 1``
+        spikes, the first ones of its train: a run that holds more is over
+        its event budget by then, and fails at the same event either way.
+        """
+        cap = max_events + 1
         if self.times is not None:
             t = np.asarray(self.times, dtype=np.float64)
         elif self.count is not None:
             # Only the spikes that can fall inside the run; the mask below decides the last one.
-            count = int(max(0.0, min(self.count, (duration - self.start) / self.interval + 2)))
+            count = int(max(0.0, min(self.count, (duration - self.start) / self.interval + 2, cap)))
             t = self.start + np.arange(count, dtype=np.float64) * self.interval
         else:
             if self.rate == 0 or self.start > duration:
                 return np.empty(0)
             expected = self.rate * (duration - self.start)
-            draws = int(expected + 6 * math.sqrt(expected + 1) + 16)
+            # A capped first chunk holds the first values of the uncapped one: the draws and
+            # their cumsum come out in order whatever the chunk length.
+            draws = int(min(expected + 6 * math.sqrt(expected + 1) + 16, cap))
             gaps = rng.exponential(1.0 / self.rate, size=draws)
             t = self.start + np.cumsum(gaps)
-            while t.size and t[-1] < duration:
+            while t.size < cap and t[-1] < duration:
                 gaps = rng.exponential(1.0 / self.rate, size=draws)
                 t = np.concatenate([t, t[-1] + np.cumsum(gaps)])
+            t = t[:cap]
         return t[(t >= 0) & (t <= duration)]
 
 
@@ -160,7 +170,7 @@ class SimConfig:
     plasticity: StdpParams | None = None
     inputs: tuple[InputDrive, ...] = ()
     energy: EnergyParams = EnergyParams()
-    max_events: int = 10_000_000
+    max_events: int = bounded(10_000_000, ge=0)
 
     def __post_init__(self):
         check_bounds(self)
@@ -379,7 +389,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     for i, drive in enumerate(config.inputs):
         if not 0 <= drive.neuron < n:
             raise DomainError(f"input drive references unknown neuron {drive.neuron}")
-        times.append(drive.schedule(config.duration, substream(config.seed, "input", i)))
+        times.append(drive.schedule(config.duration, substream(config.seed, "input", i), config.max_events))
         neurons.append(np.full(times[-1].size, drive.neuron, dtype=np.int64))
     times, neurons = np.concatenate(times), np.concatenate(neurons)
     order = np.argsort(times, kind="stable")

@@ -83,6 +83,18 @@ class TestCalc:
         assert code == 2
         assert "--bogus" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("wall", "--cold", "1", "--specific", "nan"), "--specific"),
+            (("eq6", "--n", "inf", "--L", "3"), "--n"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "calc", *argv)
+        assert code == 2 and out == ""
+        assert f"{flag} expects a finite number" in err
+
 
 class TestFigure:
     def test_fig7_rows(self, capsys, tmp_path):
@@ -331,6 +343,26 @@ class TestSimulate:
         assert outputs[0] == outputs[1]
         assert outputs[0][0].decode().count("\n0,") == 2
 
+    @pytest.mark.parametrize(
+        "drive",
+        [{"neuron": 0, "count": 1e12, "interval": 1e-15}, {"neuron": 0, "rate": 1e30}],
+        ids=["count", "rate"],
+    )
+    def test_huge_drive_stops_at_event_budget(self, capsys, tmp_path, monkeypatch, drive):
+        def small_budget(doc):
+            graph, config = build_scenario(doc)
+            return graph, dataclasses.replace(config, max_events=1000)
+
+        monkeypatch.setattr(cli, "build_scenario", small_budget)
+        doc = load_scenario("ledger-fanout")
+        doc["inputs"] = [drive]
+        path = tmp_path / "drive.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 4
+        assert "event budget exceeded (1000 events)" in err
+        assert not (tmp_path / "ledger.json").exists()
+
     def test_rate_input_starting_after_duration_draws_no_spikes(self, capsys, tmp_path):
         doc = load_scenario("poisson-link")
         doc["inputs"] = [{"neuron": 0, "rate": 1e6, "start": 2 * doc["duration"]}]
@@ -357,6 +389,17 @@ class TestValidateEq6:
         assert row["predicted"] == pytest.approx(2.613, abs=1e-3)
 
 
+    def test_sampled_sources_recorded(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys,
+            "validate-eq6", "--n", "1000", "--k", "20", "--seeds", "2", "--sample-sources", "50",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        ds = read_csv(tmp_path / "path-model-validation.csv")
+        assert ds.provenance["parameters"]["sample_sources"] == 50
+
+
 class TestMembench:
     def test_bundled_table_text(self, capsys):
         code, out, _ = run_cli(capsys, "membench")
@@ -376,3 +419,22 @@ class TestMembench:
     def test_unknown_name_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "membench", "--name", "no-such-tech")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "table, problem",
+        [
+            (None, "no such technology table"),
+            ("[{", "not valid JSON"),
+            ('[{"name": "x", "endurance": "abc"}]', "technologies[0].endurance: expected a number, got 'abc'"),
+            ('[{"endurance": 1e15}]', "technologies[0]: missing required key 'name'"),
+            ('{"name": "x"}', "technologies: expected a list"),
+        ],
+        ids=["missing", "malformed", "endurance-string", "no-name", "object"],
+    )
+    def test_bad_table_exit_code_three(self, capsys, tmp_path, table, problem):
+        path = tmp_path / "tech.json"
+        if table is not None:
+            path.write_text(table)
+        code, out, err = run_cli(capsys, "membench", "--tech", str(path))
+        assert code == 3 and out == ""
+        assert problem in err and "Traceback" not in err

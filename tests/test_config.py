@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from oesnn.cli import main
 from oesnn.config import build_scenario, bundled_scenario_names, load_scenario, validate_scenario
 from oesnn.errors import ConfigError
 from oesnn.linkbudget import SnspdReceiver
+from oesnn.membench import MemoryTechSpec, load_technologies
 from oesnn.simulator import run
 
 
@@ -330,3 +332,33 @@ def test_fuzz_documents_build_or_raise_config_error(data):
         assert exc.problems == problems and problems
     else:
         assert problems == []
+
+
+_TECH_KEYS = [f.name for f in dataclasses.fields(MemoryTechSpec)] + ["extra"]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_technology_tables_load_or_raise_config_error(data, tmp_path_factory):
+    table = [dataclasses.asdict(tech) for tech in load_technologies()]
+    value = copy.deepcopy(data.draw(st.sampled_from(_POOL)))
+    where = data.draw(st.sampled_from(["table", "entry", "field"]))
+    if where == "table":
+        table = value
+    else:
+        i = data.draw(st.integers(0, len(table) - 1))
+        if where == "entry":
+            table[i] = value
+        else:
+            table[i][data.draw(st.sampled_from(_TECH_KEYS))] = value
+    text = json.dumps(table)
+    if data.draw(st.booleans()):  # a table cut short
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    path = tmp_path_factory.getbasetemp() / "technologies.json"
+    path.write_text(text)
+    try:
+        techs = load_technologies(path)
+    except ConfigError as exc:
+        assert exc.problems
+    else:
+        assert all(isinstance(tech, MemoryTechSpec) for tech in techs)

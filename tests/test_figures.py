@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from oesnn.cli import main
 from oesnn.datasets import Dataset
 from oesnn.errors import DomainError
 from oesnn.figures import FIGURES, WIDTH_LADDER_M, build_figure
@@ -77,3 +80,34 @@ def test_fig9_monotone_and_flagged():
 def test_unknown_figure_rejected():
     with pytest.raises(DomainError):
         build_figure("fig99")
+
+
+# sha256 of ``oesnn figure`` outputs: (figure id, format, --set overrides) -> digest.
+FIGURE_DIGESTS = {
+    ("fig3", "csv", ()): "8eb2d34f748396b2b04c3d374c9b8423dc01e00160da7313a364d7967f722795",
+    ("fig4", "csv", ()): "9abbba1d3ffea6a668645ddd4dabba4164ff921146593a5d057b96abe386b8cd",
+    ("fig6", "csv", ()): "068cb3d1291981f1acdba79beca846956badd2a5eb6be8b19ff855e1d985ee6c",
+    ("fig7", "csv", ()): "5262a0e9b2c00c90788c54d5328ce6354a3cf88a61a8e7dd86fcc687c6f63daf",
+    ("fig8", "csv", ()): "0879c87f8363ff6019c2e44a3dd1082df8232d5ba1fb22d3086671f51cb3aa8b",
+    ("fig9", "csv", ()): "2c26790a18b09e3466a74219a106597f95f14d9eedfe26a0f89c193e67bbbeb5",
+    ("fig3", "json", ()): "083e42ed1fab04d06e9b5cff02660b1405551fb1bf9fdc5735850ee67a986f2c",
+    ("fig4", "json", ()): "e39a6aae49e7762d42b02e768048faa7d36c31568cdc25d605176773c08a9407",
+    ("fig6", "json", ()): "923c2eb65e54e35ef2cfe42d0fa5b452bad16eaca5c5b3fe0f46615a21b13085",
+    ("fig7", "json", ()): "7ea0d4bec2299dd5ab5afbc98ceafbe5c54ef9e90858ef8429f1111247b4ef46",
+    ("fig8", "json", ()): "29ab3f0043fe6cc04749f95ac89a303719ce852f2373165afa528a5158333e81",
+    ("fig9", "json", ()): "8ae8f82f09b3405a83dceb797084eff391ff15c002214d16fc57791b766c7235",
+    ("fig6", "json", ("etas=[1.0,0.01]",)): "6249512d25cb34fa7b26fb25fb73de17a690bf0d89907e96f5d8102ab0054f27",
+    ("fig3", "json", ("points=4", "rate_min_hz=1e6")): "ff36bd2dd5f87246e066babfd246fbac7c8c32d026467cdae4e1e55dec02c996",
+    ("fig9", "json", ("n_300_list=[1e6]",)): "718d029ecd70b31888ad5aad9bd40de2f3174699bd67cc45d9f8b1ad7a33fc2c",
+}
+
+
+@pytest.mark.parametrize("key", FIGURE_DIGESTS, ids=lambda k: "-".join((k[0], k[1], *k[2])))
+def test_figure_output_matches_golden_digest(key, tmp_path, capsys):
+    figure, fmt, overrides = key
+    argv = ["figure", figure, "--format", fmt, "--out", str(tmp_path)]
+    for token in overrides:
+        argv += ["--set", token]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / f"{figure}.{fmt}").read_bytes()).hexdigest()
+    assert digest == FIGURE_DIGESTS[key]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oesnn.errors import DomainError
+from oesnn.errors import ConfigError, DomainError
 from oesnn.membench import (
     DEFAULT_ASSUMPTIONS,
     GOAL_TABLE,
@@ -142,7 +142,7 @@ class TestBundledTable:
     def test_unknown_field_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('[{"name": "x", "speed": 1}]')
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             load_technologies(bad)
 
 

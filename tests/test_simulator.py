@@ -11,6 +11,7 @@ from oesnn.netgen import NetworkGraph, generate_er
 from oesnn.plasticity import StdpParams
 from oesnn.platforms import SEMICONDUCTOR_300K, SUPERCONDUCTING_4K
 from oesnn.quantities import CONSTANTS, photon_energy
+from oesnn.rng import substream
 from oesnn.simulator import (
     EnergyParams,
     InputDrive,
@@ -438,6 +439,28 @@ class TestGuards:
                     run(graph, dataclasses.replace(case, max_events=budget))
                 assert err.value.trace_tail == tail
                 assert str(err.value).count("\n    (") == 32
+
+    @pytest.mark.parametrize(
+        "drive",
+        [InputDrive(neuron=0, count=10**12, interval=1e-15), InputDrive(neuron=0, rate=1e30)],
+        ids=["count", "rate"],
+    )
+    def test_huge_drive_stops_at_event_budget(self, drive):
+        config = SimConfig(duration=1e-3, seed=11, link=snspd_link(), inputs=(drive,), max_events=1000)
+        with pytest.raises(SimulationError, match=r"event budget exceeded \(1000 events\)") as err:
+            run(chain_graph(), config)
+        assert len(err.value.trace_tail) == 32
+
+    @pytest.mark.parametrize(
+        "drive",
+        [InputDrive(neuron=0, count=5000, interval=1e-7), InputDrive(neuron=0, rate=1e7, start=1e-5)],
+        ids=["count", "rate"],
+    )
+    def test_capped_schedule_is_a_prefix(self, drive):
+        full = drive.schedule(1e-3, substream(3, "input", 0), 10**7)
+        assert full.size > 1001
+        capped = drive.schedule(1e-3, substream(3, "input", 0), 1000)
+        assert np.array_equal(capped, full[:1001])
 
     def test_unknown_input_neuron(self):
         config = SimConfig(
