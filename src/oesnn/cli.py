@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import build_scenario, load_scenario
 from .datasets import Dataset
@@ -63,6 +65,8 @@ from .platforms import (
     power_density_spike_limit,
     sc_max_time_constant,
     squid_from_critical_current,
+    CMOS_TIME_CONSTANT_DEFAULTS,
+    SC_TIME_CONSTANT_DEFAULTS,
     CmosTimeConstantSpec,
     ScTimeConstantSpec,
 )
@@ -106,6 +110,8 @@ def _singleton(label):
     return wrap
 
 
+_PHOTODIODE = ReceiverlessPhotodiode()  # its fields give the photodiode parameters' defaults
+
 FORMULAS: dict[str, Formula] = {
     "eq1": Formula(
         "single-photon receiver miss probability exp(-nph*etad)",
@@ -129,8 +135,8 @@ FORMULAS: dict[str, Formula] = {
     "eq3": Formula(
         "receiverless photodiode per-spike source energy C*V/(eta*R)",
         {
-            "ctot": (1e-15, "total capacitance in farads"),
-            "v": (0.8, "switching voltage"),
+            "ctot": (_PHOTODIODE.c_tot, "total capacitance in farads"),
+            "v": (_PHOTODIODE.v_swing, "switching voltage"),
             "eta": (1.0, "end-to-end link efficiency"),
             "wavelength": (1.5e-6, "wavelength in metres"),
             "responsivity": (0.0, "A/W; 0 uses the quantum-limited value"),
@@ -155,7 +161,7 @@ FORMULAS: dict[str, Formula] = {
     ),
     "static-power": Formula(
         "photodiode static dissipation V_bias*I_leak",
-        {"vbias": (1.0, "bias voltage"), "ileak": (1e-9, "leakage current in amperes")},
+        {"vbias": (_PHOTODIODE.v_bias, "bias voltage"), "ileak": (_PHOTODIODE.i_leak, "leakage current in amperes")},
         _singleton("static_power")(
             lambda p: photodiode_static_power(ReceiverlessPhotodiode(v_bias=p["vbias"], i_leak=p["ileak"]))
         ),
@@ -163,10 +169,10 @@ FORMULAS: dict[str, Formula] = {
     "static-crossover": Formula(
         "spike rate below which photodiode leakage dominates the link energy",
         {
-            "vbias": (1.0, "bias voltage"),
-            "ileak": (1e-9, "leakage current in amperes"),
-            "ctot": (1e-15, "total capacitance in farads"),
-            "v": (0.8, "switching voltage"),
+            "vbias": (_PHOTODIODE.v_bias, "bias voltage"),
+            "ileak": (_PHOTODIODE.i_leak, "leakage current in amperes"),
+            "ctot": (_PHOTODIODE.c_tot, "total capacitance in farads"),
+            "v": (_PHOTODIODE.v_swing, "switching voltage"),
             "eta": (0.01, "end-to-end link efficiency"),
             "wavelength": (1.5e-6, "wavelength in metres"),
         },
@@ -193,9 +199,9 @@ FORMULAS: dict[str, Formula] = {
     "eq4": Formula(
         "lifetime weight updates L*f/sqrt(N)",
         {
-            "lifetime": (1e9, "system lifetime in seconds"),
-            "rate": (10e3, "mean spike rate in hertz"),
-            "fanin": (1000.0, "synapses per neuron"),
+            "lifetime": (DEFAULT_ASSUMPTIONS.lifetime, "system lifetime in seconds"),
+            "rate": (DEFAULT_ASSUMPTIONS.mean_rate, "mean spike rate in hertz"),
+            "fanin": (DEFAULT_ASSUMPTIONS.fanin, "synapses per neuron"),
         },
         _singleton("lifetime_updates")(
             lambda p: lifetime_updates(
@@ -205,7 +211,10 @@ FORMULAS: dict[str, Formula] = {
     ),
     "eq5": Formula(
         "largest per-write energy sqrt(N)*E_opt",
-        {"fanin": (1000.0, "synapses per neuron"), "eopt": (100e-15, "per-spike optical energy in joules")},
+        {
+            "fanin": (DEFAULT_ASSUMPTIONS.fanin, "synapses per neuron"),
+            "eopt": (DEFAULT_ASSUMPTIONS.e_opt, "per-spike optical energy in joules"),
+        },
         _singleton("max_update_energy")(
             lambda p: max_update_energy(SystemAssumptions(fanin=p["fanin"], e_opt=p["eopt"]))
         ),
@@ -291,9 +300,9 @@ FORMULAS: dict[str, Formula] = {
         "leaky-integrator time constant C*V_th/(kappa*I_tau)",
         {
             "c": (None, "capacitance in farads"),
-            "vth": (25e-3, "thermal voltage"),
-            "kappa": (1.0, "subthreshold slope factor"),
-            "itau": (10e-15, "leak current in amperes"),
+            "vth": (CMOS_TIME_CONSTANT_DEFAULTS.v_th, "thermal voltage"),
+            "kappa": (CMOS_TIME_CONSTANT_DEFAULTS.kappa, "subthreshold slope factor"),
+            "itau": (CMOS_TIME_CONSTANT_DEFAULTS.i_tau, "leak current in amperes"),
         },
         _singleton("tau")(lambda p: dpi_time_constant(p["c"], p["vth"], p["kappa"], p["itau"])),
     ),
@@ -301,10 +310,10 @@ FORMULAS: dict[str, Formula] = {
         "largest CMOS time constant in a synapse footprint",
         {
             "w": (None, "synapse width in metres"),
-            "cdensity": (0.02, "capacitor density in F/m^2"),
-            "vth": (25e-3, "thermal voltage"),
-            "kappa": (1.0, "subthreshold slope factor"),
-            "itau": (10e-15, "leak current in amperes"),
+            "cdensity": (CMOS_TIME_CONSTANT_DEFAULTS.c_density, "capacitor density in F/m^2"),
+            "vth": (CMOS_TIME_CONSTANT_DEFAULTS.v_th, "thermal voltage"),
+            "kappa": (CMOS_TIME_CONSTANT_DEFAULTS.kappa, "subthreshold slope factor"),
+            "itau": (CMOS_TIME_CONSTANT_DEFAULTS.i_tau, "leak current in amperes"),
         },
         _singleton("tau")(
             lambda p: cmos_max_time_constant(
@@ -317,10 +326,10 @@ FORMULAS: dict[str, Formula] = {
         "largest superconducting L/r time constant in a synapse footprint",
         {
             "w": (None, "synapse width in metres"),
-            "lsq": (160e-12, "inductance per square in henries"),
-            "rs": (1e-3, "sheet resistance in ohms per square"),
-            "wwire": (100e-9, "wire width in metres"),
-            "wgap": (100e-9, "gap width in metres"),
+            "lsq": (SC_TIME_CONSTANT_DEFAULTS.l_square, "inductance per square in henries"),
+            "rs": (SC_TIME_CONSTANT_DEFAULTS.r_s, "sheet resistance in ohms per square"),
+            "wwire": (SC_TIME_CONSTANT_DEFAULTS.w_wire, "wire width in metres"),
+            "wgap": (SC_TIME_CONSTANT_DEFAULTS.w_gap, "gap width in metres"),
         },
         _singleton("tau")(
             lambda p: sc_max_time_constant(
@@ -440,29 +449,19 @@ def cmd_figure(args) -> int:
 # within it, so the list is the final value in the document.
 _SYNAPSES = "\x00synapses\x00"
 
-# One synapse of SynapseReport.as_dict() as json.dumps(sort_keys=True,
-# indent=2) lays it out at the synapse list's depth in the ledger.
-_SYNAPSE_ROW = (
-    "      {{\n"
-    '        "degraded": {},\n'
-    '        "detections": {},\n'
-    '        "level": {},\n'
-    '        "misses": {},\n'
-    '        "post": {},\n'
-    '        "pre": {},\n'
-    '        "suppressed": {},\n'
-    '        "weight": {},\n'
-    '        "writes": {}\n'
-    "      }}"
-)
+# One synapse of SynapseReport.as_dict() as json.dumps(sort_keys=True, indent=2) lays it out
+# at the synapse list's depth in the ledger, with a %s for each value.
+_SYNAPSE_KEYS = sorted(SynapseReport.COUNTER_KEYS + SynapseReport.CELL_KEYS)
+_SYNAPSE_ROW = "      {\n" + ",\n".join(f'        "{key}": %s' for key in _SYNAPSE_KEYS) + "\n      }"
+_ROWS_PER_BLOCK = 512
 
 
 def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
     """Write ``doc`` with ``report.as_dict()`` as its ``"synapse_report"``,
     as ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.
 
-    The per-synapse rows are formatted from one template and written as
-    they are made, without building a dict per synapse.
+    The rows are written in blocks of a fixed size, each one template filled from slices of the
+    report's per-edge arrays and from the values of the block's distinct cells, encoded once.
     """
     doc = {
         **doc,
@@ -473,24 +472,20 @@ def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
     }
     head, _, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition(json.dumps(_SYNAPSES))
     fh.write(head)
-    rows = map(
-        _SYNAPSE_ROW.format,
-        ["true" if d else "false" for d in report.degraded],
-        report.detections,
-        ["null" if v is None else v for v in report.levels],
-        report.misses,
-        report.post,
-        report.pre,
-        report.suppressed,
-        map(float.__repr__, report.weights),
-        report.writes,
-    )
-    sep = "[\n"
-    for row in rows:
-        fh.write(sep)
-        fh.write(row)
-        sep = ",\n"
-    fh.write("[]" if sep == "[\n" else "\n    ]")
+    full = ",\n".join([_SYNAPSE_ROW] * _ROWS_PER_BLOCK)
+    for start in range(0, len(report.cell_of), _ROWS_PER_BLOCK):
+        edges = slice(start, start + _ROWS_PER_BLOCK)
+        # The block's distinct cells, each one's values encoded once as the document encodes them.
+        cells, cell = np.unique(report.cell_of[edges], return_inverse=True)
+        encoded = {
+            key: np.array([json.dumps(v) for v in report.cell_values(key, cells.tolist())], dtype=object)
+            for key in report.CELL_KEYS
+        }
+        columns = [encoded[key][cell] if key in encoded else getattr(report, key)[edges] for key in _SYNAPSE_KEYS]
+        template = full if cell.size == _ROWS_PER_BLOCK else ",\n".join([_SYNAPSE_ROW] * cell.size)
+        fh.write(",\n" if start else "[\n")
+        fh.write(template % tuple(np.stack(columns, axis=1, dtype=object).ravel().tolist()))
+    fh.write("\n    ]" if len(report.cell_of) else "[]")
     fh.write(tail + "\n")
 
 

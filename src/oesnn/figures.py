@@ -36,6 +36,13 @@ WIDTH_LADDER_M = tuple(
 ) + (1e-3,)
 
 
+def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``points`` values from ``lo`` to ``hi``, evenly spaced in log scale."""
+    if not (0 < lo <= hi < math.inf and points >= 1):
+        raise DomainError(f"a grid needs finite 0 < min <= max and points >= 1, got {lo!r}, {hi!r}, {points!r}")
+    return np.logspace(math.log10(lo), math.log10(hi), points)
+
+
 def fig3(
     fanout: float = 1000.0,
     c_tot: float = 1e-15,
@@ -49,10 +56,9 @@ def fig3(
     """Transmitter optical power vs spike rate for a receiverless load."""
     pd = ReceiverlessPhotodiode(c_tot=c_tot, v_swing=v_swing)
     e_rx = receiverless_optical_energy(pd, 1.0, wavelength)  # at the receiver
-    rates = np.logspace(math.log10(rate_min_hz), math.log10(rate_max_hz), points)
     rows = [
         (float(r), transmitter_power(fanout, e_rx, float(r), eta).value)
-        for r in rates
+        for r in _log_grid(rate_min_hz, rate_max_hz, points)
     ]
     return Dataset(name="transmitter-power-vs-rate", columns=("spike_rate_hz", "optical_power_w"), rows=rows)
 
@@ -68,9 +74,8 @@ def fig4(
     fill_factor: float = 1.0,
 ) -> Dataset:
     """Plane counts needed to hold a path length as wafer population grows."""
-    sizes = np.logspace(math.log10(n_min), math.log10(n_max), points)
     rows = []
-    for n in sizes:
+    for n in _log_grid(n_min, n_max, points):
         req = required_planes(float(n), path_length, w_wg, w_sy, wafer_diameter, fill_factor)
         rows.append((float(n), req.degree, req.p_p, req.p_e))
     return Dataset(
@@ -90,13 +95,12 @@ def fig6(
     points: int = 25,
 ) -> Dataset:
     """Budget-limited mean spike rate vs population for several link efficiencies."""
-    sizes = np.logspace(math.log10(n_min), math.log10(n_max), points)
-    rows = []
-    for eta in etas:
-        e_event = receiver_energy / eta
-        for n in sizes:
-            rate = max_average_spike_rate(power_budget, float(n), fanout, e_event).value
-            rows.append((float(n), float(eta), rate))
+    sizes = _log_grid(n_min, n_max, points)
+    rows = [
+        (float(n), float(eta), max_average_spike_rate(power_budget, float(n), fanout, receiver_energy / eta).value)
+        for eta in etas
+        for n in sizes
+    ]
     return Dataset(name="spike-rate-vs-size-budget", columns=("n_neurons", "eta", "max_rate_hz"), rows=rows)
 
 
@@ -124,11 +128,8 @@ def fig8(
     points: int = 29,
 ) -> Dataset:
     """Mean degree needed for a path length as network size grows."""
-    sizes = np.logspace(math.log10(n_min), math.log10(n_max), points)
-    rows = []
-    for path in path_lengths:
-        for n in sizes:
-            rows.append((float(n), float(path), required_degree(float(n), path)))
+    sizes = _log_grid(n_min, n_max, points)
+    rows = [(float(n), float(path), required_degree(float(n), path)) for path in path_lengths for n in sizes]
     return Dataset(name="degree-vs-size", columns=("n_total", "path_length", "degree"), rows=rows)
 
 

@@ -17,7 +17,8 @@ handler takes every batch with array operations that reproduce, bit for
 bit, handling its arrivals one at a time in edge order, STDP writes
 included.  A graph holds each (pre, post) pair once, so a spike reaches
 each post neuron at most once.  A batch that would exceed the event budget
-is cut at it, and an STDP write that faults stops the run.
+is cut at it, and an STDP write that faults stops the run.  The report
+keeps the per-edge counter arrays, and each distinct final cell once.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
@@ -246,40 +247,42 @@ class SpikeRecord:
                 fh.write(f"{n},{t!r}\n")
 
 
-@dataclass
+@dataclass(eq=False)
 class SynapseReport:
-    """Per-synapse counters and final weights, plus the update-count estimate."""
+    """Per-synapse counters and final memory cells, plus the update-count estimate.
 
-    pre: list[int]
-    post: list[int]
-    detections: list[int]
-    misses: list[int]
-    suppressed: list[int]
-    writes: list[int]
-    weights: list[float]
-    levels: list[int | None]
-    degraded: list[bool]
+    The counters are the run's per-edge arrays.  Each distinct final cell is kept once, in ``cells``,
+    and ``cell_of`` maps every edge to it; ``weights``, ``levels`` and ``degraded`` are per-edge lists.
+    """
+
+    pre: np.ndarray
+    post: np.ndarray
+    detections: np.ndarray
+    misses: np.ndarray
+    suppressed: np.ndarray
+    writes: np.ndarray
+    cells: list[MemoryCell]
+    cell_of: np.ndarray  # per edge, its index into cells
     sqrt_fanin_update_estimate: float = 0.0  # accounting rule: spikes * sqrt(fan-in)
 
+    COUNTER_KEYS = ("pre", "post", "detections", "misses", "suppressed", "writes")  # a row's per-edge values
+    CELL_KEYS = ("weight", "level", "degraded")  # a row's values of its memory cell
+
+    def cell_values(self, key: str, which: list[int]) -> list:
+        """The ``weight``, ``level`` (None for analog memory) or ``degraded`` of each cell in ``which``."""
+        return [getattr(self.cells[i], key, None) for i in which]
+
+    weights = property(lambda self: self.cell_values("weight", self.cell_of.tolist()))
+    levels = property(lambda self: self.cell_values("level", self.cell_of.tolist()))
+    degraded = property(lambda self: self.cell_values("degraded", self.cell_of.tolist()))
+
     def as_dict(self) -> dict:
-        doc = {
-            "synapses": [
-                {
-                    "pre": self.pre[i],
-                    "post": self.post[i],
-                    "detections": self.detections[i],
-                    "misses": self.misses[i],
-                    "suppressed": self.suppressed[i],
-                    "writes": self.writes[i],
-                    "weight": self.weights[i],
-                    "level": self.levels[i],
-                    "degraded": self.degraded[i],
-                }
-                for i in range(len(self.pre))
-            ],
+        columns = [getattr(self, k).tolist() for k in self.COUNTER_KEYS]
+        columns += [self.cell_values(k, self.cell_of.tolist()) for k in self.CELL_KEYS]
+        return {
+            "synapses": [dict(zip(self.COUNTER_KEYS + self.CELL_KEYS, row)) for row in zip(*columns)],
             "sqrt_fanin_update_estimate": self.sqrt_fanin_update_estimate,
         }
-        return doc
 
 
 def _memory_cell(ov: dict, defaults: SynapseDefaults) -> MemoryCell:
@@ -627,23 +630,23 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
             n_edges * photodiode_static_power(config.link.receiver).value * config.duration
         )
 
-    fanin = np.bincount(graph.post, minlength=n) if n_edges else np.zeros(n, dtype=np.int64)
+    fanin = np.bincount(graph.post, minlength=n)
+    spiked, counts = np.unique(np.asarray(spikes.neurons, dtype=np.int64), return_counts=True)
     estimate = 0.0
-    if spikes.neurons:
-        spiked, counts_per = np.unique(spikes.neurons, return_counts=True)
-        for v, count in zip(spiked, counts_per):
-            if fanin[v]:
-                estimate += float(count) * math.sqrt(float(fanin[v]))
+    for v, count in zip(spiked.tolist(), counts.tolist()):
+        estimate += count * math.sqrt(fanin[v])
+    # Cells are immutable and shared, so one pass over their ids finds the distinct ones.
+    ids = np.fromiter(map(id, cells), dtype=np.uintp, count=n_edges)
+    _, first, cell_of = np.unique(ids, return_index=True, return_inverse=True)
     report = SynapseReport(
-        pre=graph.pre.tolist(),
-        post=graph.post.tolist(),
-        detections=c.det_count.tolist(),
-        misses=c.miss_count.tolist(),
-        suppressed=c.sup_count.tolist(),
-        writes=c.write_count.tolist(),
-        weights=[cell.weight for cell in cells],
-        levels=[cell.level if isinstance(cell, LoopMemory) else None for cell in cells],
-        degraded=[cell.degraded for cell in cells],
+        pre=graph.pre,
+        post=graph.post,
+        detections=c.det_count,
+        misses=c.miss_count,
+        suppressed=c.sup_count,
+        writes=c.write_count,
+        cells=[cells[i] for i in first.tolist()],
+        cell_of=cell_of,
         sqrt_fanin_update_estimate=estimate,
     )
     return spikes, ledger, report

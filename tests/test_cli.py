@@ -11,6 +11,9 @@ from oesnn import cli
 from oesnn.cli import main
 from oesnn.config import build_scenario, load_scenario
 from oesnn.datasets import read_csv, read_json
+from oesnn.linkbudget import ReceiverlessPhotodiode
+from oesnn.membench import SystemAssumptions
+from oesnn.platforms import CmosTimeConstantSpec, ScTimeConstantSpec
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +99,31 @@ class TestCalc:
         assert f"{flag} expects a finite number" in err
 
 
+# calc parameter -> record field, for the formulas whose defaults are a record's.
+_PHOTODIODE_PARAMS = {"ctot": "c_tot", "v": "v_swing", "vbias": "v_bias", "ileak": "i_leak"}
+_ASSUMPTION_PARAMS = {"lifetime": "lifetime", "rate": "mean_rate", "fanin": "fanin", "eopt": "e_opt"}
+_CMOS_PARAMS = {"cdensity": "c_density", "vth": "v_th", "kappa": "kappa", "itau": "i_tau"}
+_SC_PARAMS = {"lsq": "l_square", "rs": "r_s", "wwire": "w_wire", "wgap": "w_gap"}
+_RECORD_DEFAULTS = {
+    "eq3": (ReceiverlessPhotodiode, _PHOTODIODE_PARAMS),
+    "static-power": (ReceiverlessPhotodiode, _PHOTODIODE_PARAMS),
+    "static-crossover": (ReceiverlessPhotodiode, _PHOTODIODE_PARAMS),
+    "eq4": (SystemAssumptions, _ASSUMPTION_PARAMS),
+    "eq5": (SystemAssumptions, _ASSUMPTION_PARAMS),
+    "tau-dpi": (CmosTimeConstantSpec, _CMOS_PARAMS),
+    "tau-cmos": (CmosTimeConstantSpec, _CMOS_PARAMS),
+    "tau-sc": (ScTimeConstantSpec, _SC_PARAMS),
+}
+
+
+@pytest.mark.parametrize("formula", sorted(_RECORD_DEFAULTS))
+def test_calc_defaults_are_record_defaults(formula):
+    record, params = _RECORD_DEFAULTS[formula]
+    defaults = {f.name: f.default for f in dataclasses.fields(record)}
+    shared = {name: default for name, (default, _) in cli.FORMULAS[formula].params.items() if name in params}
+    assert shared and shared == {name: defaults[params[name]] for name in shared}
+
+
 class TestFigure:
     def test_fig7_rows(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "figure", "fig7", "--out", str(tmp_path))
@@ -143,6 +171,55 @@ class TestFigure:
         )
         assert code == 2
         assert "override" in err
+
+    @pytest.mark.parametrize(
+        "fig, overrides",
+        [
+            ("fig3", ["points=-1"]),
+            ("fig3", ["points=0"]),
+            ("fig3", ["rate_min_hz=0"]),
+            ("fig3", ["rate_min_hz=-1e3"]),
+            ("fig3", ["rate_max_hz=1"]),
+            ("fig4", ["n_min=0"]),
+            ("fig4", ["n_max=1e400"]),
+            ("fig6", ["n_min=1e12", "n_max=1e6"]),
+            ("fig6", ["points=-3"]),
+            ("fig8", ["n_max=-1"]),
+            ("fig8", ["points=0"]),
+        ],
+    )
+    def test_bad_grid_usage_error(self, capsys, tmp_path, fig, overrides):
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        code, _, err = run_cli(capsys, "figure", fig, "--out", str(tmp_path), *sets)
+        assert code == 2
+        assert "grid" in err
+        assert not (tmp_path / f"{fig}.csv").exists()
+
+
+# Edge counts around the ledger writer's block size: one, a block less one, a block,
+# a block and one, and two blocks and one.
+_BLOCK = cli._ROWS_PER_BLOCK
+_BLOCK_EDGE_COUNTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
+def _writer_network(count: int) -> dict:
+    """``count`` synapses from neurons 0 and 1 to sink neurons, whose cells cycle through the
+    shared default, a loop cell with an explicit level, an inhibitory edge, an analog weight
+    override and a loop cell whose level comes from the weight."""
+    kinds = (
+        {},
+        {"memory_kind": "loop", "bits": 6},
+        {"inhibitory": True},
+        {"weight": 0.6},
+        {"memory_kind": "loop", "bits": 8, "weight": 0.7},
+    )
+    edges = []
+    for i in range(count):
+        edge = {"pre": i % 2, "post": 2 + i // 2, **kinds[i % len(kinds)]}
+        if i % len(kinds) == 1:
+            edge["level"] = i % 64
+        edges.append(edge)
+    return {"n": 2 + (count + 1) // 2, "edges": edges}
 
 
 class TestSimulate:
@@ -250,8 +327,10 @@ class TestSimulate:
                     {"pre": 2, "post": 0, "inhibitory": True, "memory_kind": "loop", "bits": 6},
                 ],
             },
+            # The writer formats rows in blocks: edge counts at and around the block boundaries.
+            *(_writer_network(count) for count in _BLOCK_EDGE_COUNTS),
         ],
-        ids=["no-synapses", "mixed-synapses"],
+        ids=["no-synapses", "mixed-synapses", *(f"{count}-synapses" for count in _BLOCK_EDGE_COUNTS)],
     )
     def test_streamed_ledger_matches_encoder(self, capsys, tmp_path, monkeypatch, network):
         doc = {
@@ -282,11 +361,16 @@ class TestSimulate:
         expected["synapse_report"] = reports[0].as_dict()
         assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
         rows = expected["synapse_report"]["synapses"]
-        if network["edges"]:
+        assert len(rows) == len(network["edges"])
+        if len(network["edges"]) == 3:
             assert [r["degraded"] for r in rows] == [True, True, False]
             assert [r["level"] for r in rows][:2] == [None, None]
-        else:
+        elif not network["edges"]:
             assert rows == [] and '"synapses": []' in text
+        elif len(rows) > 1:
+            assert {r["degraded"] for r in rows} == {True, False}
+            assert {r["level"] is None for r in rows} == {True, False}
+            assert {r["weight"] for r in rows} >= {0.5, 0.0, 0.6}  # the default, a level-0 loop cell, an override
 
     @pytest.mark.parametrize("where", ["synapse", "edge"])
     def test_bits_above_ten_exit_code_three(self, capsys, tmp_path, where):

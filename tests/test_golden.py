@@ -7,8 +7,9 @@ that reach the paths the bundled ones do not: loop memory with fluxon
 accounting on single-photon detectors; Poisson-threshold photodiodes,
 with STDP on noisy, endurance-limited analog memory and without; a zero
 transmit delay, so that spikes cascade within one instant; heavy detector
-dead-time suppression; deterministic photodiodes; and mixed loop and
-analog edge overrides with inhibitory edges.
+dead-time suppression; deterministic photodiodes; mixed loop and analog
+edge overrides with inhibitory edges; and STDP on loop memory over
+enough synapses that the ledger's rows span several writer blocks.
 
 A change that alters the bytes on purpose updates the table below from
 the digests the failing test prints, and says so.
@@ -151,6 +152,21 @@ ER_SCENARIOS = {
         "inputs": [{"neuron": v, "rate": 2e5} for v in (0, 9, 18, 27)]
         + [{"neuron": 33, "times": [5e-6, 5e-6, 1e-5, 2e-6]}],
     },
+    # STDP on loop memory over about 8k synapses: the per-synapse rows span
+    # several of the ledger writer's blocks, with levels that STDP wrote.
+    "er-loop-stdp-chunks": {
+        "name": "er-loop-stdp-chunks",
+        "seed": 17,
+        "duration": 2e-4,
+        "profile": "superconducting-4K",
+        "network": {"er": {"n": 700, "mean_degree": 24.0}},
+        "link": SNSPD_LINK,
+        "neuron": NEURON,
+        "synapse": {"tau": 1e-6, "weight": 0.42, "memory_kind": "loop", "bits": 6},
+        "plasticity": {"kind": "stdp", "a_plus": 1, "a_minus": 2, "tau_plus": 1e-6, "tau_minus": 1e-6},
+        "energy": {"i_c": 300e-6},
+        "inputs": [{"neuron": v, "rate": 1e5} for v in range(0, 700, 25)],
+    },
 }
 
 # scenario -> (sha256 of spikes.csv, sha256 of ledger.json)
@@ -194,6 +210,10 @@ GOLDEN = {
     "ring-mixed-overrides": (
         "79f7155860bfa556a3198b9b5537c22770628af37e1e7d1d50ee0c61f59ccda0",
         "1ccbd2bafeef9aa80256c91d0cdb490bf1eac2326e42f169addf37539c67586d",
+    ),
+    "er-loop-stdp-chunks": (
+        "9f38d22c0fddde9ed115fae0b2fe7392365479c54295f675e7f858eb47193282",
+        "a09181f0d66519c48f52525ca47718868be7027a01ccf0e0016c47c99938cbc7",
     ),
 }
 

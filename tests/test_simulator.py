@@ -8,7 +8,7 @@ import pytest
 from oesnn.errors import DomainError, SimulationError
 from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver
 from oesnn.netgen import NetworkGraph, generate_er
-from oesnn.plasticity import StdpParams
+from oesnn.plasticity import LoopMemory, StdpParams
 from oesnn.platforms import SEMICONDUCTOR_300K, SUPERCONDUCTING_4K
 from oesnn.quantities import CONSTANTS, photon_energy
 from oesnn.rng import substream
@@ -18,10 +18,11 @@ from oesnn.simulator import (
     NeuronParams,
     SimConfig,
     SynapseDefaults,
+    _compile,
     power_report,
     run,
 )
-from reference_loop import reference_run
+from reference_loop import _reference_loop, reference_run
 
 
 def two_input_graph():
@@ -520,18 +521,17 @@ class TestBatchedArrivals:
     and report phases, so each case must agree exactly in everything.
     """
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "cascade",
-            "photodiode-poisson",
-            "photodiode-deterministic",
-            "dead-time-inhibitory",
-            "stdp-analog-noisy",
-            "stdp-loop",
-        ],
-    )
-    def test_batches_match_single_arrivals(self, case):
+    CASES = [
+        "cascade",
+        "photodiode-poisson",
+        "photodiode-deterministic",
+        "dead-time-inhibitory",
+        "stdp-analog-noisy",
+        "stdp-loop",
+    ]
+
+    @staticmethod
+    def _case(case):
         graph = generate_er(150, 12.0, seed=5)
         config = SimConfig(
             duration=1e-4,
@@ -567,6 +567,11 @@ class TestBatchedArrivals:
             )
         elif case == "stdp-loop":
             config = dataclasses.replace(config, plasticity=stdp_loop)
+        return graph, config
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_batches_match_single_arrivals(self, case):
+        graph, config = self._case(case)
         results = []
         for simulate in (run, reference_run):
             spikes, ledger, report = simulate(graph, config)
@@ -575,6 +580,21 @@ class TestBatchedArrivals:
         counters = results[0][2]["counters"]
         assert counters["detections"] > 0
         assert (counters["stdp_writes"] > 0) == (config.plasticity is not None)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_cells_match_reference_cells(self, case):
+        """The report's per-edge views equal the cells the arrival-by-arrival loop leaves."""
+        graph, config = self._case(case)
+        _, _, report = run(graph, config)
+        compiled = _compile(graph, config)
+        _reference_loop(compiled)
+        cells = compiled.cells
+        assert report.weights == [cell.weight for cell in cells]
+        assert report.levels == [cell.level if isinstance(cell, LoopMemory) else None for cell in cells]
+        assert report.degraded == [cell.degraded for cell in cells]
+        assert report.cell_of.shape == (graph.edge_count,) and len(report.cells) <= graph.edge_count
+        if config.plasticity is not None:  # writes replace cells, so many edges own one
+            assert len(report.cells) > 1
 
 
 class TestPowerReport:
