@@ -431,6 +431,8 @@ def cmd_figure(args) -> int:
         raise UsageError(f"invalid override for {args.id}: {exc}") from None
     except DomainError as exc:
         raise UsageError(str(exc)) from None
+    except (ArithmeticError, ValueError) as exc:  # an override that takes a model out of float range
+        raise UsageError(f"override out of range for {args.id}: {exc}") from None
     out = _out_dir(args.out)
     path = out / f"{args.id}.{args.format}"
     if args.format == "csv":
@@ -451,9 +453,10 @@ _SYNAPSES = "\x00synapses\x00"
 
 # One synapse of SynapseReport.as_dict() as json.dumps(sort_keys=True, indent=2) lays it out
 # at the synapse list's depth in the ledger, with a %s for each value.
-_SYNAPSE_KEYS = sorted(SynapseReport.COUNTER_KEYS + SynapseReport.CELL_KEYS)
+_SYNAPSE_KEYS = sorted(SynapseReport.KEYS)
 _SYNAPSE_ROW = "      {\n" + ",\n".join(f'        "{key}": %s' for key in _SYNAPSE_KEYS) + "\n      }"
 _ROWS_PER_BLOCK = 512
+_FLAGS = np.array([json.dumps(False), json.dumps(True)], dtype=object)
 
 
 def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
@@ -461,7 +464,8 @@ def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
     as ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.
 
     The rows are written in blocks of a fixed size, each one template filled from slices of the
-    report's per-edge arrays and from the values of the block's distinct cells, encoded once.
+    report's per-edge arrays.  Memory values are encoded once each: every level up front, and the
+    block's distinct weights per block.
     """
     doc = {
         **doc,
@@ -472,20 +476,25 @@ def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
     }
     head, _, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition(json.dumps(_SYNAPSES))
     fh.write(head)
+    memory = report.memory
+    # Level -1 (analog memory) is null.
+    levels = np.array([json.dumps(v) for v in [None, *range(memory.level.max(initial=-1) + 1)]], dtype=object)
     full = ",\n".join([_SYNAPSE_ROW] * _ROWS_PER_BLOCK)
-    for start in range(0, len(report.cell_of), _ROWS_PER_BLOCK):
+    for start in range(0, len(memory.weight), _ROWS_PER_BLOCK):
         edges = slice(start, start + _ROWS_PER_BLOCK)
-        # The block's distinct cells, each one's values encoded once as the document encodes them.
-        cells, cell = np.unique(report.cell_of[edges], return_inverse=True)
+        weight = memory.weight[edges]
+        # Weights told apart by their bits, so that -0.0 does not merge with 0.0.
+        _, first, inverse = np.unique(weight.view(np.uint64), return_index=True, return_inverse=True)
         encoded = {
-            key: np.array([json.dumps(v) for v in report.cell_values(key, cells.tolist())], dtype=object)
-            for key in report.CELL_KEYS
+            "weight": np.array([json.dumps(w) for w in weight[first].tolist()], dtype=object)[inverse],
+            "level": levels[memory.level[edges] + 1],
+            "degraded": _FLAGS[memory.degraded[edges].view(np.uint8)],
         }
-        columns = [encoded[key][cell] if key in encoded else getattr(report, key)[edges] for key in _SYNAPSE_KEYS]
-        template = full if cell.size == _ROWS_PER_BLOCK else ",\n".join([_SYNAPSE_ROW] * cell.size)
+        columns = [encoded[key] if key in encoded else getattr(report, key)[edges] for key in _SYNAPSE_KEYS]
+        template = full if weight.size == _ROWS_PER_BLOCK else ",\n".join([_SYNAPSE_ROW] * weight.size)
         fh.write(",\n" if start else "[\n")
         fh.write(template % tuple(np.stack(columns, axis=1, dtype=object).ravel().tolist()))
-    fh.write("\n    ]" if len(report.cell_of) else "[]")
+    fh.write("\n    ]" if len(memory.weight) else "[]")
     fh.write(tail + "\n")
 
 

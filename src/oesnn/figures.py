@@ -95,6 +95,8 @@ def fig6(
     points: int = 25,
 ) -> Dataset:
     """Budget-limited mean spike rate vs population for several link efficiencies."""
+    if not all(eta > 0 for eta in etas):
+        raise DomainError(f"etas must be positive, got {list(etas)!r}")
     sizes = _log_grid(n_min, n_max, points)
     rows = [
         (float(n), float(eta), max_average_spike_rate(power_budget, float(n), fanout, receiver_energy / eta).value)

@@ -5,7 +5,9 @@ a persistent-current loop (quantized, effectively unlimited endurance) and
 ``AnalogMemory`` stores a real weight in [0, 1] with write noise and a
 finite endurance budget.  The update rule is classic pair-based
 exponential timing-dependent plasticity; the rule itself is an artifact
-choice, the loop quantization is not.
+choice, the loop quantization is not.  ``MemoryColumns`` holds one cell
+per edge of a network as arrays, and writes them as ``apply_stdp`` writes
+a cell.
 """
 
 from __future__ import annotations
@@ -145,6 +147,61 @@ def apply_stdp(
     if applied == 0.0 and noise == 0.0:
         return cell, 0.0
     return replace(cell, value=new_value, write_count=cell.write_count + 1), applied
+
+
+@dataclass(eq=False)
+class MemoryColumns:
+    """The memory cells of every edge as per-edge arrays, written in place.
+
+    Each distinct parameter set is kept once in ``groups`` as ``(max_level,
+    write_noise_std, endurance)``, ``max_level`` 0 for analog memory, and
+    ``group`` maps every edge to one.  :meth:`write` is :func:`apply_stdp`
+    on one edge's state.
+    """
+
+    level: np.ndarray  # int64 level of loop memory; -1 for analog memory
+    weight: np.ndarray  # float64; level / max_level for loop memory
+    writes: np.ndarray  # int64 writes each cell has taken
+    degraded: np.ndarray  # bool
+    group: np.ndarray  # per edge, its index into groups
+    groups: list[tuple[int, float, float]]
+    i_c: float  # A, the junction critical current that prices a loop write
+
+    def write(self, e: int, pre_spike: float, post_spike: float, params: StdpParams, rng) -> tuple[float, float]:
+        """Apply one pairing to edge ``e``; returns (applied change, memory-update energy)."""
+        delta = stdp_delta(pre_spike, post_spike, params)
+        max_level, write_noise_std, endurance = self.groups[self.group[e]]
+        if max_level:
+            level = int(self.level[e])
+            new_level = min(max_level, max(0, level + round(delta)))
+            if new_level == level:
+                return 0.0, 0.0
+            self.level[e], self.weight[e] = new_level, new_level / max_level
+            self.writes[e] += 1
+            applied = float(new_level - level)
+            energy = params.write_energy
+            return applied, loop_write_energy(applied, self.i_c) if energy is None else energy
+        if self.degraded[e]:
+            return 0.0, 0.0
+        writes = int(self.writes[e])
+        if writes + 1 > endurance:
+            if params.on_exhaustion == "fault":
+                raise DomainError("analog memory endurance exhausted")
+            self.degraded[e] = True
+            return 0.0, 0.0
+        noise = 0.0
+        if write_noise_std > 0:
+            noise = write_noise_std * float(rng.standard_normal())
+        value = float(self.weight[e])
+        new_value = min(1.0, max(0.0, value + delta + noise))
+        applied = new_value - value
+        if applied == 0.0 and noise == 0.0:
+            return 0.0, 0.0
+        self.weight[e] = new_value
+        self.writes[e] = writes + 1
+        if applied == 0.0 or params.write_energy is None:
+            return applied, 0.0
+        return applied, params.write_energy
 
 
 def weight_to_fluxon_rate(cell: MemoryCell, max_fluxons) -> int:

@@ -17,8 +17,14 @@ handler takes every batch with array operations that reproduce, bit for
 bit, handling its arrivals one at a time in edge order, STDP writes
 included.  A graph holds each (pre, post) pair once, so a spike reaches
 each post neuron at most once.  A batch that would exceed the event budget
-is cut at it, and an STDP write that faults stops the run.  The report
-keeps the per-edge counter arrays, and each distinct final cell once.
+is cut at it, and an STDP write that faults stops the run.
+
+Synaptic memory is kept as per-edge columns (level, weight, write count,
+degraded flag and parameter group, see ``plasticity.MemoryColumns``), and
+STDP writes one edge at a time with scalar arithmetic on them.  Detection
+outcomes are drawn ahead in chunks and used in order.  The report holds
+the per-edge counter arrays and the memory columns; an edge's misses are
+the batches of its pre neuron less its detections and suppressions.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -49,15 +55,7 @@ from .linkbudget import (
     source_energy_per_spike,
 )
 from .netgen import NetworkGraph
-from .plasticity import (
-    AnalogMemory,
-    LoopMemory,
-    MemoryCell,
-    StdpParams,
-    apply_stdp,
-    loop_write_energy,
-    weight_to_fluxon_rate,
-)
+from .plasticity import AnalogMemory, LoopMemory, MemoryColumns, StdpParams
 from .platforms import SUPERCONDUCTING_4K, PlatformProfile, fluxon_budget, max_average_spike_rate
 from .quantities import FLUX_QUANTUM
 from .rng import substream
@@ -243,16 +241,18 @@ class SpikeRecord:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("neuron_id,time_s\n")
-            for n, t in zip(self.neurons, self.times):
-                fh.write(f"{n},{t!r}\n")
+            # One join per block: a join over every row would hold one string per spike at once.
+            for start in range(0, len(self), 1024):
+                rows = zip(self.neurons[start : start + 1024], self.times[start : start + 1024])
+                fh.write("".join([f"{n},{t!r}\n" for n, t in rows]))
 
 
 @dataclass(eq=False)
 class SynapseReport:
-    """Per-synapse counters and final memory cells, plus the update-count estimate.
+    """Per-synapse counters and final memory state, plus the update-count estimate.
 
-    The counters are the run's per-edge arrays.  Each distinct final cell is kept once, in ``cells``,
-    and ``cell_of`` maps every edge to it; ``weights``, ``levels`` and ``degraded`` are per-edge lists.
+    Every per-edge value is an array: the counters are the run's, and ``memory`` holds the final
+    memory columns.  ``weights``, ``levels`` (None for analog memory) and ``degraded`` are per-edge lists.
     """
 
     pre: np.ndarray
@@ -261,44 +261,48 @@ class SynapseReport:
     misses: np.ndarray
     suppressed: np.ndarray
     writes: np.ndarray
-    cells: list[MemoryCell]
-    cell_of: np.ndarray  # per edge, its index into cells
+    memory: MemoryColumns
     sqrt_fanin_update_estimate: float = 0.0  # accounting rule: spikes * sqrt(fan-in)
 
-    COUNTER_KEYS = ("pre", "post", "detections", "misses", "suppressed", "writes")  # a row's per-edge values
-    CELL_KEYS = ("weight", "level", "degraded")  # a row's values of its memory cell
+    KEYS = ("pre", "post", "detections", "misses", "suppressed", "writes", "weight", "level", "degraded")
+    MEMORY_KEYS = ("weight", "level", "degraded")  # a row's values of its memory cell
 
-    def cell_values(self, key: str, which: list[int]) -> list:
-        """The ``weight``, ``level`` (None for analog memory) or ``degraded`` of each cell in ``which``."""
-        return [getattr(self.cells[i], key, None) for i in which]
+    def values(self, key: str) -> list:
+        """Each edge's ``key`` as a row holds it: ``level`` is None for analog memory."""
+        values = getattr(self.memory if key in self.MEMORY_KEYS else self, key).tolist()
+        return [None if v < 0 else v for v in values] if key == "level" else values
 
-    weights = property(lambda self: self.cell_values("weight", self.cell_of.tolist()))
-    levels = property(lambda self: self.cell_values("level", self.cell_of.tolist()))
-    degraded = property(lambda self: self.cell_values("degraded", self.cell_of.tolist()))
+    weights = property(lambda self: self.values("weight"))
+    levels = property(lambda self: self.values("level"))
+    degraded = property(lambda self: self.values("degraded"))
 
     def as_dict(self) -> dict:
-        columns = [getattr(self, k).tolist() for k in self.COUNTER_KEYS]
-        columns += [self.cell_values(k, self.cell_of.tolist()) for k in self.CELL_KEYS]
+        columns = [self.values(k) for k in self.KEYS]
         return {
-            "synapses": [dict(zip(self.COUNTER_KEYS + self.CELL_KEYS, row)) for row in zip(*columns)],
+            "synapses": [dict(zip(self.KEYS, row)) for row in zip(*columns)],
             "sqrt_fanin_update_estimate": self.sqrt_fanin_update_estimate,
         }
 
 
-def _memory_cell(ov: dict, defaults: SynapseDefaults) -> MemoryCell:
-    """Initial memory cell of a synapse: its overrides over the defaults."""
+def _initial_memory(ov: dict, defaults: SynapseDefaults) -> tuple[tuple[int, float, float], int, float]:
+    """Parameter group, level (-1 for analog) and weight of a synapse's memory: its overrides over the defaults.
+
+    The memory cell records check the values.
+    """
     weight = ov.get("weight", defaults.weight)
     if ov.get("memory_kind", defaults.memory_kind) == "loop":
         bits = int(ov.get("bits", defaults.bits))
         level = ov.get("level")
         if level is None:
             level = round(weight * (2**bits - 1))
-        return LoopMemory(level=int(level), bits=bits)
-    return AnalogMemory(
+        cell = LoopMemory(level=int(level), bits=bits)
+        return (cell.max_level, 0.0, math.inf), cell.level, cell.weight
+    cell = AnalogMemory(
         value=float(weight),
         write_noise_std=ov.get("write_noise_std", defaults.write_noise_std),
         endurance=ov.get("endurance", defaults.endurance),
     )
+    return (0, cell.write_noise_std, cell.endurance), -1, cell.value
 
 
 @dataclass(eq=False)
@@ -306,19 +310,21 @@ class _Compiled:
     """One run's per-edge arrays, link constants, and the counters and records the loop fills.
 
     ``increment`` (sign times weight) and ``fluxon_j`` (fluxon energy per
-    detection) follow ``cells``: they are set once per distinct cell and
-    again whenever STDP writes an edge's cell.
+    detection, ``round(weight * max_fluxons) * fluxon_energy`` for loop
+    memory on a superconducting platform, else 0) follow ``memory``: they
+    are set at compile time and again whenever STDP writes an edge.
     """
 
     graph: NetworkGraph
     config: SimConfig
     out_edges: list[np.ndarray]
     in_edges: list[np.ndarray] | None
-    cells: list[MemoryCell]
+    memory: MemoryColumns
     sign: np.ndarray
     increment: np.ndarray
     fluxon_j: np.ndarray
-    fluxon_of: Callable[[MemoryCell], float]  # fluxon energy per detection of a cell
+    max_fluxons: float
+    fluxon_energy: float
     forced_t: list[float]  # drive spikes in (time, drive, position) order
     forced_v: list[int]
     e_source: float
@@ -329,7 +335,6 @@ class _Compiled:
     superconducting: bool
     tau_soma: float
     det_count: np.ndarray
-    miss_count: np.ndarray
     sup_count: np.ndarray
     write_count: np.ndarray
     ledger: EnergyLedger
@@ -350,23 +355,24 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     max_fluxons = config.energy.max_fluxons
     if max_fluxons is None:
         max_fluxons = int(fluxon_budget(e_source, config.energy.i_c))
+    max_fluxons = float(max_fluxons)
     fluxon_energy = config.energy.i_c * FLUX_QUANTUM.value
 
-    def fluxon_of(cell: MemoryCell) -> float:
-        if superconducting and isinstance(cell, LoopMemory):
-            return weight_to_fluxon_rate(cell, max_fluxons) * fluxon_energy
-        return 0.0
+    def fluxon_of(level: int, weight: float) -> float:
+        return round(weight * max_fluxons) * fluxon_energy if superconducting and level >= 0 else 0.0
 
-    # Cells are immutable and STDP replaces rather than mutates them, so
-    # every edge without an override shares one cell, and its arrays are
-    # filled without a pass over the edges.
+    # The arrays of every edge without an override are filled without a
+    # pass over the edges.
     defaults = config.synapse
-    default_cell = _memory_cell({}, defaults)
+    default_group, default_level, default_weight = _initial_memory({}, defaults)
     default_sign = -1.0 if defaults.inhibitory else 1.0
-    cells: list[MemoryCell] = [default_cell] * n_edges
+    groups = {default_group: 0}
+    group = np.zeros(n_edges, dtype=np.intp)
+    level = np.full(n_edges, default_level, dtype=np.int64)
+    weight = np.full(n_edges, default_weight)
     sign = np.full(n_edges, default_sign)
-    increment = np.full(n_edges, default_sign * default_cell.weight)
-    fluxons = np.full(n_edges, fluxon_of(default_cell))
+    increment = np.full(n_edges, default_sign * default_weight)
+    fluxons = np.full(n_edges, fluxon_of(default_level, default_weight))
     taus = [defaults.tau]
     if config.synapse_overrides:
         overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
@@ -379,9 +385,10 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
                 if not taus[-1] > 0:
                     raise DomainError(f"synapse {e} tau must be positive")
                 sign[e] = -1.0 if ov.get("inhibitory", defaults.inhibitory) else 1.0
-                cells[e] = _memory_cell(ov, defaults)
-                increment[e] = sign[e] * cells[e].weight
-                fluxons[e] = fluxon_of(cells[e])
+                key, level[e], weight[e] = _initial_memory(ov, defaults)
+                group[e] = groups.setdefault(key, len(groups))
+                increment[e] = sign[e] * weight[e]
+                fluxons[e] = fluxon_of(level[e], weight[e])
         if 0 < overridden == n_edges:  # no edge keeps the default
             del taus[0]
     tau_soma = config.neuron.tau_soma
@@ -405,11 +412,20 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         config=config,
         out_edges=graph.out_edge_indices(),
         in_edges=graph.in_edge_indices() if config.plasticity is not None else None,
-        cells=cells,
+        memory=MemoryColumns(
+            level=level,
+            weight=weight,
+            writes=np.zeros(n_edges, dtype=np.int64),
+            degraded=np.zeros(n_edges, dtype=bool),
+            group=group,
+            groups=list(groups),
+            i_c=config.energy.i_c,
+        ),
         sign=sign,
         increment=increment,
         fluxon_j=fluxons,
-        fluxon_of=fluxon_of,
+        max_fluxons=max_fluxons,
+        fluxon_energy=fluxon_energy,
         forced_t=times[order].tolist(),
         forced_v=neurons[order].tolist(),
         e_source=e_source,
@@ -420,12 +436,15 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         superconducting=superconducting,
         tau_soma=tau_soma,
         det_count=np.zeros(n_edges, dtype=np.int64),
-        miss_count=np.zeros(n_edges, dtype=np.int64),
         sup_count=np.zeros(n_edges, dtype=np.int64),
         write_count=np.zeros(n_edges, dtype=np.int64),
         ledger=EnergyLedger(per_neuron_source=np.zeros(n), per_neuron_receiver=np.zeros(n)),
         spikes=SpikeRecord(),
     )
+
+
+_DRAW_CHUNK = 4096  # detection outcomes drawn ahead at a time
+_TRACE_EVENTS = 32  # events an error reports
 
 
 def _loop(c: _Compiled) -> None:
@@ -442,20 +461,23 @@ def _loop(c: _Compiled) -> None:
     rng_detect = substream(config.seed, "detect")
     rng_noise = substream(config.seed, "stdp-noise")
     n, n_edges, post = c.graph.n, c.graph.edge_count, c.graph.post
-    out_edges, in_edges, cells = c.out_edges, c.in_edges, c.cells
+    out_edges, in_edges, memory = c.out_edges, c.in_edges, c.memory
     sign, increment, fluxon_j = c.sign, c.increment, c.fluxon_j
     membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
-    last_detection, last_pre_event = np.full(n_edges, -math.inf), np.full(n_edges, -math.inf)
-    det_count, miss_count, sup_count, write_count = c.det_count, c.miss_count, c.sup_count, c.write_count
+    det_count, sup_count, write_count = c.det_count, c.sup_count, c.write_count
     ledger, spikes = c.ledger, c.spikes
     counters = ledger.counters
     per_neuron_source, per_neuron_receiver = ledger.per_neuron_source, ledger.per_neuron_receiver
     e_source, e_reset, dead_time = c.e_source, c.e_reset, c.dead_time
-    p_detect, poisson_need = c.p_detect, c.poisson_need
-    mean_photons = link.mean_photons() if poisson_need is not None else None
-    draw_random = poisson_need is None and p_detect < 1.0
+    # Only a dead time reads the last detection, and only STDP the last arrival.
+    last_detection = np.full(n_edges, -math.inf) if dead_time else None
+    last_pre_event = np.full(n_edges, -math.inf) if plasticity is not None else None
+    stochastic = c.poisson_need is not None or c.p_detect < 1.0
+    # Nothing else reads the detect stream, and a chunked draw gives the
+    # values of one long draw, so outcomes are drawn ahead and used in order.
+    pool, used = np.empty(0, dtype=bool), 0
     is_snspd = isinstance(link.receiver, SnspdReceiver)
-    superconducting = c.superconducting
+    superconducting, max_fluxons, fluxon_energy = c.superconducting, c.max_fluxons, c.fluxon_energy
     tau_soma = c.tau_soma
     threshold = config.neuron.threshold
     refractory = config.neuron.refractory
@@ -463,7 +485,16 @@ def _loop(c: _Compiled) -> None:
     per_spike_overhead = config.energy.per_spike_overhead
 
     queue: deque[tuple[float, int]] = deque()
-    trace: deque = deque(maxlen=32)
+    # The last events: one entry per forced spike and one per batch, made
+    # one entry per event only when an error reports them.
+    trace: deque = deque(maxlen=_TRACE_EVENTS)
+
+    def tail() -> list:
+        events = []
+        for t, kind, what in trace:
+            batch = kind == "arrivals"
+            events += [(t, "arrival", e) for e in what[-_TRACE_EVENTS:].tolist()] if batch else [(t, kind, what)]
+        return events[-_TRACE_EVENTS:]
 
     def fire(v: int, t: float, forced: bool) -> None:
         spikes.neurons.append(v)
@@ -490,22 +521,33 @@ def _loop(c: _Compiled) -> None:
             queue.append((t + delay, v))
 
     def stdp_write(e: int, pre_t: float, post_t: float) -> None:
-        """Apply the STDP pairing of edge ``e`` to its cell and account for the write."""
+        """Apply the STDP pairing of edge ``e`` to its memory and account for the write."""
         try:
-            cells[e], applied = apply_stdp(pre_t, post_t, cells[e], plasticity, rng_noise)
+            applied, energy = memory.write(e, pre_t, post_t, plasticity, rng_noise)
         except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
-            raise SimulationError(f"synapse {e}: {exc}", trace) from None
+            raise SimulationError(f"synapse {e}: {exc}", tail()) from None
         if applied == 0.0:
             return
         write_count[e] += 1
         counters.stdp_writes += 1
-        cell = cells[e]
-        if plasticity.write_energy is not None:
-            ledger.memory_update += plasticity.write_energy
-        elif isinstance(cell, LoopMemory):
-            ledger.memory_update += loop_write_energy(applied, config.energy.i_c)
-        increment[e] = sign[e] * cell.weight
-        fluxon_j[e] = c.fluxon_of(cell)
+        ledger.memory_update += energy
+        weight = float(memory.weight[e])
+        increment[e] = sign[e] * weight
+        if superconducting and memory.level[e] >= 0:
+            fluxon_j[e] = round(weight * max_fluxons) * fluxon_energy
+
+    def detected(k: int) -> np.ndarray:
+        """The next ``k`` detection outcomes of the stream."""
+        nonlocal pool, used
+        if used + k > pool.size:
+            size = max(k, _DRAW_CHUNK)
+            if c.poisson_need is not None:
+                drawn = rng_detect.poisson(link.mean_photons(), size=size) >= c.poisson_need
+            else:
+                drawn = rng_detect.random(size=size) < c.p_detect
+            pool, used = np.concatenate([pool[used:], drawn]), 0
+        used += k
+        return pool[used - k : used]
 
     def arrive(t: float, edges: np.ndarray) -> None:
         """Arrivals of one spike at time ``t``, each post neuron hit at most once.
@@ -526,22 +568,18 @@ def _loop(c: _Compiled) -> None:
                 sup_count[edges[dead]] += 1
                 counters.suppressed += n_dead
                 edges, posts = edges[~dead], posts[~dead]
-        if poisson_need is not None:
-            hit = rng_detect.poisson(mean_photons, size=edges.size) >= poisson_need
-        elif draw_random:
-            hit = rng_detect.random(size=edges.size) < p_detect
-        else:
-            hit = None
-        if hit is not None and np.count_nonzero(hit) < hit.size:
-            lost = edges[~hit]
-            miss_count[lost] += 1
-            counters.misses += lost.size
-            edges, posts = edges[hit], posts[hit]
+        if stochastic:
+            hit = detected(edges.size)
+            n_hit = int(np.count_nonzero(hit))
+            if n_hit < hit.size:  # each edge's misses follow from its batches in _report
+                counters.misses += hit.size - n_hit
+                edges, posts = edges[hit], posts[hit]
         if not edges.size:
             return
         det_count[edges] += 1
         counters.detections += edges.size
-        last_detection[edges] = t
+        if dead_time:
+            last_detection[edges] = t
         # One addition per detection, in edge order, so the ledger rounds as
         # it would one arrival at a time.
         if is_snspd:
@@ -566,7 +604,7 @@ def _loop(c: _Compiled) -> None:
         finite = np.isfinite(values)
         if np.count_nonzero(finite) < finite.size:
             v = int(posts[~finite][0])
-            raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", trace)
+            raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", tail())
         above = values >= threshold
         if plasticity is None:
             for v in posts[above].tolist():
@@ -586,7 +624,7 @@ def _loop(c: _Compiled) -> None:
     def over_budget() -> SimulationError:
         return SimulationError(
             f"event budget exceeded ({config.max_events} events); raise max_events or shorten the run",
-            trace,
+            tail(),
         )
 
     forced_t, forced_v = c.forced_t, c.forced_v
@@ -614,7 +652,7 @@ def _loop(c: _Compiled) -> None:
         if over:
             edges = edges[: config.max_events - processed]
         processed += edges.size
-        trace.extend((t, "arrival", e) for e in edges[-trace.maxlen :].tolist())
+        trace.append((t, "arrivals", edges))
         arrive(t, edges)
         if over:
             raise over_budget()
@@ -622,7 +660,7 @@ def _loop(c: _Compiled) -> None:
 
 def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
     """Close the ledger over the run and gather the per-synapse report."""
-    graph, config, ledger, spikes, cells = c.graph, c.config, c.ledger, c.spikes, c.cells
+    graph, config, ledger, spikes = c.graph, c.config, c.ledger, c.spikes
     n, n_edges = graph.n, graph.edge_count
     # Static leakage integrates over the whole run for biased photodiodes.
     if isinstance(config.link.receiver, ReceiverlessPhotodiode):
@@ -631,22 +669,23 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
         )
 
     fanin = np.bincount(graph.post, minlength=n)
-    spiked, counts = np.unique(np.asarray(spikes.neurons, dtype=np.int64), return_counts=True)
+    neurons = np.asarray(spikes.neurons, dtype=np.int64)
+    spiked, counts = np.unique(neurons, return_counts=True)
     estimate = 0.0
     for v, count in zip(spiked.tolist(), counts.tolist()):
         estimate += count * math.sqrt(fanin[v])
-    # Cells are immutable and shared, so one pass over their ids finds the distinct ones.
-    ids = np.fromiter(map(id, cells), dtype=np.uintp, count=n_edges)
-    _, first, cell_of = np.unique(ids, return_index=True, return_inverse=True)
+    # The loop delivers each spike's batch if it arrives within the run, and
+    # every arrival of a batch is detected, suppressed or missed.
+    arrived = np.asarray(spikes.times) + config.neuron.transmit_delay <= config.duration
+    batches = np.bincount(neurons[arrived], minlength=n)
     report = SynapseReport(
         pre=graph.pre,
         post=graph.post,
         detections=c.det_count,
-        misses=c.miss_count,
+        misses=batches[graph.pre] - c.det_count - c.sup_count,
         suppressed=c.sup_count,
         writes=c.write_count,
-        cells=[cells[i] for i in first.tolist()],
-        cell_of=cell_of,
+        memory=c.memory,
         sqrt_fanin_update_estimate=estimate,
     )
     return spikes, ledger, report

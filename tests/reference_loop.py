@@ -1,12 +1,14 @@
 """The simulator's event loop written one arrival at a time, as a test reference.
 
 ``simulator._loop`` handles all arrivals of one spike together with array
-operations.  This module handles the same events the plain way: forced
-spikes and arrivals merged in time order, and each arrival on its own, in
-edge order, with scalar draws from the detection stream.  It runs over the
-record ``simulator._compile`` builds and is closed by ``simulator._report``,
-so any difference between ``reference_run`` and ``simulator.run`` lies in
-how the loop is written.
+operations, writes STDP on per-edge memory columns, and leaves each edge's
+misses for ``simulator._report`` to derive.  This module handles the same
+events the plain way: forced spikes and arrivals merged in time order, each
+arrival on its own, in edge order, with scalar draws from the detection
+stream, on one scalar memory cell per edge that ``apply_stdp`` replaces, and
+with each edge's misses counted as they happen.  It runs over the record
+``simulator._compile`` builds, writes its final cells back into the memory
+columns, and is closed by ``simulator._report``.
 """
 
 from __future__ import annotations
@@ -18,29 +20,65 @@ import numpy as np
 
 from oesnn.errors import SimulationError
 from oesnn.linkbudget import SnspdReceiver
-from oesnn.plasticity import LoopMemory, apply_stdp, loop_write_energy
+from oesnn.plasticity import (
+    AnalogMemory,
+    LoopMemory,
+    MemoryCell,
+    apply_stdp,
+    loop_write_energy,
+    weight_to_fluxon_rate,
+)
 from oesnn.rng import substream
-from oesnn.simulator import _compile, _Compiled, _report
+from oesnn.simulator import SynapseDefaults, _compile, _Compiled, _report
 
 
 def reference_run(graph, config):
-    """``simulator.run`` with the arrival-by-arrival loop below."""
+    """``simulator.run`` with the arrival-by-arrival loop below, and its own per-edge misses."""
     compiled = _compile(graph, config)
-    _reference_loop(compiled)
-    return _report(compiled)
+    _, misses = _reference_loop(compiled)
+    spikes, ledger, report = _report(compiled)
+    report.misses = misses
+    return spikes, ledger, report
 
 
-def _reference_loop(c: _Compiled) -> None:
+def _memory_cell(ov: dict, defaults: SynapseDefaults) -> MemoryCell:
+    """Initial memory cell of a synapse: its overrides over the defaults."""
+    weight = ov.get("weight", defaults.weight)
+    if ov.get("memory_kind", defaults.memory_kind) == "loop":
+        bits = int(ov.get("bits", defaults.bits))
+        level = ov.get("level")
+        if level is None:
+            level = round(weight * (2**bits - 1))
+        return LoopMemory(level=int(level), bits=bits)
+    return AnalogMemory(
+        value=float(weight),
+        write_noise_std=ov.get("write_noise_std", defaults.write_noise_std),
+        endurance=ov.get("endurance", defaults.endurance),
+    )
+
+
+def initial_cells(graph, config) -> list[MemoryCell]:
+    """Every edge's initial memory cell; cells are immutable, so edges without an override share one."""
+    overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
+    default = _memory_cell({}, config.synapse)
+    pairs = zip(graph.pre.tolist(), graph.post.tolist())
+    return [_memory_cell(overrides[pair], config.synapse) if pair in overrides else default for pair in pairs]
+
+
+def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray]:
+    """Run the events, store the final cells in ``c.memory`` too, and return them and each edge's misses."""
     config = c.config
     link = config.link
     plasticity = config.plasticity
     rng_detect = substream(config.seed, "detect")
     rng_noise = substream(config.seed, "stdp-noise")
     n, n_edges, post = c.graph.n, c.graph.edge_count, c.graph.post
-    out_edges, in_edges, cells = c.out_edges, c.in_edges, c.cells
+    out_edges, in_edges = c.out_edges, c.in_edges
+    cells = initial_cells(c.graph, config)
     sign, increment, fluxon_j = c.sign, c.increment, c.fluxon_j
     membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
     last_detection, last_pre_event = np.full(n_edges, -math.inf), np.full(n_edges, -math.inf)
+    misses = np.zeros(n_edges, dtype=np.int64)
     ledger, spikes = c.ledger, c.spikes
     counters = ledger.counters
     per_neuron_source, per_neuron_receiver = ledger.per_neuron_source, ledger.per_neuron_receiver
@@ -87,7 +125,8 @@ def _reference_loop(c: _Compiled) -> None:
         elif isinstance(cell, LoopMemory):
             ledger.memory_update += loop_write_energy(applied, config.energy.i_c)
         increment[e] = sign[e] * cell.weight
-        fluxon_j[e] = c.fluxon_of(cell)
+        if c.superconducting and isinstance(cell, LoopMemory):
+            fluxon_j[e] = weight_to_fluxon_rate(cell, c.max_fluxons) * c.fluxon_energy
 
     def arrive(e: int, v: int, t: float) -> None:
         """One arrival on edge ``e`` into neuron ``v``."""
@@ -102,7 +141,7 @@ def _reference_loop(c: _Compiled) -> None:
         else:
             detected = True
         if not detected:
-            c.miss_count[e] += 1
+            misses[e] += 1
             counters.misses += 1
             return
         c.det_count[e] += 1
@@ -158,3 +197,14 @@ def _reference_loop(c: _Compiled) -> None:
             count_event()
             trace.append((t, "arrival", e))
             arrive(e, int(post[e]), t)
+    write_back(cells, c.memory)
+    return cells, misses
+
+
+def write_back(cells: list[MemoryCell], memory) -> None:
+    """Store each edge's cell in the memory columns."""
+    for e, cell in enumerate(cells):
+        memory.level[e] = cell.level if isinstance(cell, LoopMemory) else -1
+        memory.weight[e] = cell.weight
+        memory.writes[e] = cell.write_count
+        memory.degraded[e] = cell.degraded

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -391,6 +392,37 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
         assert code == 3
         assert "scenario: unknown key 'record'" in err
+
+    def test_signed_zero_weight_keeps_its_sign(self, capsys, tmp_path):
+        # -0.0 is inside the weight bounds; the ledger prints it as given, next to a 0.0 and a
+        # loop cell of weight -0.0 (level 0, weight 0.0) in the same block of rows.
+        doc = {
+            "seed": 1,
+            "duration": 1e-5,
+            "network": {
+                "n": 4,
+                "edges": [
+                    {"pre": 0, "post": 1, "weight": -0.0},
+                    {"pre": 0, "post": 2, "weight": 0.0},
+                    {"pre": 0, "post": 3, "weight": -0.0, "memory_kind": "loop"},
+                ],
+            },
+            "link": {"n_ph": 7.0, "eta": 0.01, "stochastic": False},
+            "inputs": [{"neuron": 0, "times": [1e-6]}],
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "ledger.json").read_text()
+        assert [line.strip() for line in text.splitlines() if '"weight"' in line] == [
+            '"weight": -0.0,',
+            '"weight": 0.0,',
+            '"weight": 0.0,',
+        ]
+        rows = json.loads(text)["synapse_report"]["synapses"]
+        assert [math.copysign(1.0, r["weight"]) for r in rows] == [-1.0, 1.0, 1.0]
+        assert [r["level"] for r in rows] == [None, None, 0]
 
     def test_endurance_fault_exit_code_four(self, capsys, tmp_path):
         doc = {

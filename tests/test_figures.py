@@ -1,6 +1,15 @@
+import contextlib
 import hashlib
+import inspect
+import io
+import json
+import os
+import tempfile
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oesnn.cli import main
 from oesnn.datasets import Dataset
@@ -111,3 +120,46 @@ def test_figure_output_matches_golden_digest(key, tmp_path, capsys):
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / f"{figure}.{fmt}").read_bytes()).hexdigest()
     assert digest == FIGURE_DIGESTS[key]
+
+
+def _override_values(hint):
+    """Values of a builder parameter's annotated type, edge cases included."""
+    numbers = st.floats() | st.integers(min_value=-(10**6), max_value=10**6)
+    if hint is int:
+        return st.integers(min_value=-2, max_value=200)
+    if hint is float:
+        return numbers
+    item = typing.get_args(hint)[0]
+    items = st.sampled_from(["w_sy", "w_wg", "x"]) if item is str else numbers
+    return st.lists(items, max_size=4)
+
+
+@st.composite
+def _figure_overrides(draw):
+    figure = draw(st.sampled_from(sorted(FIGURES)))
+    hints = typing.get_type_hints(FIGURES[figure])
+    parameters = sorted(inspect.signature(FIGURES[figure]).parameters)
+    names = draw(st.lists(st.sampled_from(parameters), unique=True, max_size=3))
+    return figure, {name: draw(_override_values(hints[name])) for name in names}
+
+
+@given(_figure_overrides())
+@settings(max_examples=300, deadline=None)
+def test_every_override_builds_or_exits_with_usage_code(case):
+    figure, overrides = case
+    argv = ["figure", figure]
+    for name, value in overrides.items():
+        argv += ["--set", f"{name}={json.dumps(value)}"]
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--out", out])
+        written = os.listdir(out)
+    assert code in (0, 2)
+    assert written == ([f"{figure}.csv"] if code == 0 else [])
+
+
+@pytest.mark.parametrize("etas", ["[0]", "[1.0,-0.5]", "[NaN]"])
+def test_fig6_rejects_non_positive_eta(etas, tmp_path, capsys):
+    assert main(["figure", "fig6", "--set", f"etas={etas}", "--out", str(tmp_path)]) == 2
+    assert "etas" in capsys.readouterr().err
+    assert not (tmp_path / "fig6.csv").exists()

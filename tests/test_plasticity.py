@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oesnn.errors import DomainError
 from oesnn.plasticity import (
     AnalogMemory,
     LoopMemory,
+    MemoryColumns,
     StdpParams,
     apply_stdp,
     loop_write_energy,
@@ -165,3 +166,106 @@ def test_loop_write_energy_is_fluxon_cost():
         3 * 300e-6 * CONSTANTS.phi0, rel=1e-12
     )
     assert loop_write_energy(-3, 300e-6) == loop_write_energy(3, 300e-6)
+
+
+def _columns(cells, i_c: float) -> MemoryColumns:
+    """Memory columns holding ``cells``, one parameter group per distinct parameter set."""
+    groups: dict = {}
+    for cell in cells:
+        if isinstance(cell, LoopMemory):
+            groups.setdefault((cell.max_level, 0.0, math.inf), len(groups))
+        else:
+            groups.setdefault((0, cell.write_noise_std, cell.endurance), len(groups))
+    keys = [
+        (c.max_level, 0.0, math.inf) if isinstance(c, LoopMemory) else (0, c.write_noise_std, c.endurance)
+        for c in cells
+    ]
+    return MemoryColumns(
+        level=np.array([c.level if isinstance(c, LoopMemory) else -1 for c in cells], dtype=np.int64),
+        weight=np.array([c.weight for c in cells]),
+        writes=np.array([c.write_count for c in cells], dtype=np.int64),
+        degraded=np.array([c.degraded for c in cells]),
+        group=np.array([groups[k] for k in keys], dtype=np.intp),
+        groups=list(groups),
+        i_c=i_c,
+    )
+
+
+_LOOP_CELLS = st.integers(min_value=1, max_value=10).flatmap(
+    lambda bits: st.builds(
+        LoopMemory,
+        level=st.sampled_from([0, 2**bits - 1]) | st.integers(min_value=0, max_value=2**bits - 1),
+        bits=st.just(bits),
+    )
+)
+_ANALOG_CELLS = st.builds(
+    AnalogMemory,
+    value=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    write_noise_std=st.sampled_from([0.0, 0.01, 0.3]),
+    endurance=st.sampled_from([math.inf]) | st.integers(min_value=1, max_value=4),
+)
+_PAIRINGS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), st.floats(min_value=-3e-6, max_value=3e-6)),
+    max_size=30,
+)
+
+
+class TestMemoryColumns:
+    """``MemoryColumns.write`` against a chain of ``apply_stdp`` calls on the same cells."""
+
+    @given(
+        cells=st.lists(_LOOP_CELLS | _ANALOG_CELLS, min_size=1, max_size=4),
+        pairings=_PAIRINGS,
+        a_plus=st.sampled_from([0.05, 0.4, 3.0]),
+        a_minus=st.sampled_from([0.06, 0.5, 2.0]),
+        on_exhaustion=st.sampled_from(["freeze", "fault"]),
+        write_energy=st.sampled_from([None, 2e-15]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(  # a noisy write clamped at 1 uses up endurance, and changes nothing
+        cells=[AnalogMemory(value=1.0, write_noise_std=0.01, endurance=2)],
+        pairings=[(0, 0.0), (0, 0.0), (0, 0.0)],
+        a_plus=0.4,
+        a_minus=0.5,
+        on_exhaustion="freeze",
+        write_energy=None,
+        seed=1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_writes_match_apply_stdp(self, cells, pairings, a_plus, a_minus, on_exhaustion, write_energy, seed):
+        params = StdpParams(
+            a_plus=a_plus, a_minus=a_minus, tau_plus=1e-6, tau_minus=1e-6,
+            on_exhaustion=on_exhaustion, write_energy=write_energy,
+        )
+        i_c = 300e-6
+        columns = _columns(cells, i_c)
+        rng_cells, rng_columns = np.random.default_rng(seed), np.random.default_rng(seed)
+        for pick, dt in pairings:
+            e = pick % len(cells)
+            try:
+                cells[e], applied = apply_stdp(0.0, dt, cells[e], params, rng_cells)
+            except DomainError:
+                with pytest.raises(DomainError, match="endurance exhausted"):
+                    columns.write(e, 0.0, dt, params, rng_columns)
+                break
+            energy = 0.0
+            if applied != 0.0:
+                if write_energy is not None:
+                    energy = write_energy
+                elif isinstance(cells[e], LoopMemory):
+                    energy = loop_write_energy(applied, i_c)
+            assert columns.write(e, 0.0, dt, params, rng_columns) == (applied, energy)
+        assert columns.weight.tolist() == [c.weight for c in cells]
+        assert columns.level.tolist() == [c.level if isinstance(c, LoopMemory) else -1 for c in cells]
+        assert columns.writes.tolist() == [c.write_count for c in cells]
+        assert columns.degraded.tolist() == [c.degraded for c in cells]
+        assert rng_columns.bit_generator.state == rng_cells.bit_generator.state
+
+    def test_clamped_noisy_write_wears_but_changes_nothing(self):
+        params = StdpParams(a_plus=0.4, a_minus=0.5, tau_plus=1e-6, tau_minus=1e-6)
+        columns = _columns([AnalogMemory(value=1.0, write_noise_std=0.01, endurance=1)], 300e-6)
+        rng = np.random.default_rng(3)
+        assert columns.write(0, 0.0, 0.0, params, rng) == (0.0, 0.0)  # no write for the report
+        assert columns.writes[0] == 1 and columns.weight[0] == 1.0
+        assert columns.write(0, 0.0, 0.0, params, rng) == (0.0, 0.0)
+        assert columns.degraded[0]

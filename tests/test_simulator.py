@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oesnn.config import build_scenario
 from oesnn.errors import DomainError, SimulationError
 from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver
 from oesnn.netgen import NetworkGraph, generate_er
@@ -23,6 +24,7 @@ from oesnn.simulator import (
     run,
 )
 from reference_loop import _reference_loop, reference_run
+from test_golden import ER_SCENARIOS
 
 
 def two_input_graph():
@@ -516,9 +518,12 @@ class TestGuards:
 class TestBatchedArrivals:
     """``run()`` against the arrival-by-arrival loop in ``reference_loop``.
 
-    ``run()`` handles each spike's arrivals as one batch; the reference
-    handles them one at a time with scalar draws.  Both share the compile
-    and report phases, so each case must agree exactly in everything.
+    ``run()`` handles each spike's arrivals as one batch and writes STDP on
+    the memory columns; the reference handles them one at a time with scalar
+    draws, on one scalar memory cell per edge, and counts each edge's misses
+    itself.  Both share the compile and report phases, so each case must
+    agree exactly in everything.  The cases include every ER document whose
+    output bytes ``test_golden`` pins.
     """
 
     CASES = [
@@ -532,6 +537,8 @@ class TestBatchedArrivals:
 
     @staticmethod
     def _case(case):
+        if case in ER_SCENARIOS:  # the documents whose outputs tests/test_golden.py pins
+            return build_scenario(json.loads(json.dumps(ER_SCENARIOS[case])))
         graph = generate_er(150, 12.0, seed=5)
         config = SimConfig(
             duration=1e-4,
@@ -569,7 +576,7 @@ class TestBatchedArrivals:
             config = dataclasses.replace(config, plasticity=stdp_loop)
         return graph, config
 
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", CASES + sorted(ER_SCENARIOS))
     def test_batches_match_single_arrivals(self, case):
         graph, config = self._case(case)
         results = []
@@ -580,21 +587,29 @@ class TestBatchedArrivals:
         counters = results[0][2]["counters"]
         assert counters["detections"] > 0
         assert (counters["stdp_writes"] > 0) == (config.plasticity is not None)
+        assert sum(row["misses"] for row in results[0][3]["synapses"]) == counters["misses"]
+
+    @pytest.mark.parametrize("lam", [0.3, 4.9, 50.0, 5000.0, None])
+    def test_chunked_detection_draws_equal_one_draw(self, lam):
+        # The loop draws detection outcomes ahead in chunks and hands them out in order.
+        def draw(rng, k):
+            return rng.random(size=k) if lam is None else rng.poisson(lam, size=k)
+
+        whole = draw(substream(7, "detect"), 10_000)
+        rng = substream(7, "detect")
+        assert np.array_equal(whole, np.concatenate([draw(rng, k) for k in (1, 4095, 3, 5901)]))
 
     @pytest.mark.parametrize("case", CASES)
     def test_report_cells_match_reference_cells(self, case):
         """The report's per-edge views equal the cells the arrival-by-arrival loop leaves."""
         graph, config = self._case(case)
         _, _, report = run(graph, config)
-        compiled = _compile(graph, config)
-        _reference_loop(compiled)
-        cells = compiled.cells
+        cells, _ = _reference_loop(_compile(graph, config))
         assert report.weights == [cell.weight for cell in cells]
         assert report.levels == [cell.level if isinstance(cell, LoopMemory) else None for cell in cells]
         assert report.degraded == [cell.degraded for cell in cells]
-        assert report.cell_of.shape == (graph.edge_count,) and len(report.cells) <= graph.edge_count
-        if config.plasticity is not None:  # writes replace cells, so many edges own one
-            assert len(report.cells) > 1
+        assert report.memory.writes.tolist() == [cell.write_count for cell in cells]
+        assert (report.memory.writes.any()) == (config.plasticity is not None)
 
 
 class TestPowerReport:
