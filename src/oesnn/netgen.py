@@ -156,21 +156,14 @@ def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None
         raise DomainError("path statistics need a non-empty graph with edges")
     n = graph.n
     indptr, indices = graph.undirected_csr()
-    sampled = False
     if sample_sources is None:
-        if n <= 5000:
-            sources = np.arange(n)
-        else:
-            sampled = True
-            sources = substream(graph.seed, "path-sources").choice(n, size=1000, replace=False)
-    else:
-        if sample_sources <= 0:
-            raise DomainError("sample_sources must be positive")
-        if sample_sources >= n:
-            sources = np.arange(n)
-        else:
-            sampled = True
-            sources = substream(graph.seed, "path-sources").choice(n, size=sample_sources, replace=False)
+        sample_sources = n if n <= 5000 else 1000
+    elif sample_sources <= 0:
+        raise DomainError("sample_sources must be positive")
+    sampled = sample_sources < n
+    sources = np.arange(n)
+    if sampled:
+        sources = substream(graph.seed, "path-sources").choice(n, size=sample_sources, replace=False)
     # reduceat yields g[start] for an empty row, so reduce over linked nodes only.
     linked = np.flatnonzero(np.diff(indptr) > 0)
     row_starts = indptr[linked]

@@ -165,30 +165,30 @@ class MemoryColumns:
     degraded: np.ndarray  # bool
     group: np.ndarray  # per edge, its index into groups
     groups: list[tuple[int, float, float]]
-    i_c: float  # A, the junction critical current that prices a loop write
 
-    def write(self, e: int, pre_spike: float, post_spike: float, params: StdpParams, rng) -> tuple[float, float]:
-        """Apply one pairing to edge ``e``; returns (applied change, memory-update energy)."""
+    def write(self, e: int, pre_spike: float, post_spike: float, params: StdpParams, rng) -> float:
+        """Apply one pairing to edge ``e``; returns the applied change, as :func:`apply_stdp` does.
+
+        A write is priced by the run's report, from the writes and levels it counts.
+        """
         delta = stdp_delta(pre_spike, post_spike, params)
         max_level, write_noise_std, endurance = self.groups[self.group[e]]
         if max_level:
             level = int(self.level[e])
             new_level = min(max_level, max(0, level + round(delta)))
             if new_level == level:
-                return 0.0, 0.0
+                return 0.0
             self.level[e], self.weight[e] = new_level, new_level / max_level
             self.writes[e] += 1
-            applied = float(new_level - level)
-            energy = params.write_energy
-            return applied, loop_write_energy(applied, self.i_c) if energy is None else energy
+            return float(new_level - level)
         if self.degraded[e]:
-            return 0.0, 0.0
+            return 0.0
         writes = int(self.writes[e])
         if writes + 1 > endurance:
             if params.on_exhaustion == "fault":
                 raise DomainError("analog memory endurance exhausted")
             self.degraded[e] = True
-            return 0.0, 0.0
+            return 0.0
         noise = 0.0
         if write_noise_std > 0:
             noise = write_noise_std * float(rng.standard_normal())
@@ -196,12 +196,10 @@ class MemoryColumns:
         new_value = min(1.0, max(0.0, value + delta + noise))
         applied = new_value - value
         if applied == 0.0 and noise == 0.0:
-            return 0.0, 0.0
+            return 0.0
         self.weight[e] = new_value
         self.writes[e] = writes + 1
-        if applied == 0.0 or params.write_energy is None:
-            return applied, 0.0
-        return applied, params.write_energy
+        return applied
 
 
 def weight_to_fluxon_rate(cell: MemoryCell, max_fluxons) -> int:

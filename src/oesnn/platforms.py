@@ -10,6 +10,7 @@ at room temperature rather than on the chip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -58,8 +59,6 @@ class PlatformProfile:
     t_hot: float  # K
     t_cold: float = bounded(gt=0)  # K
     power_density_limit: float = bounded(gt=0)  # W/m^2
-    wavelength: float = 1.5e-6  # m
-    default_eta: float = bounded(0.01, gt=0, le=1)
 
     def __post_init__(self):
         check_bounds(self)
@@ -224,6 +223,13 @@ CMOS_TIME_CONSTANT_DEFAULTS = CmosTimeConstantSpec()
 SC_TIME_CONSTANT_DEFAULTS = ScTimeConstantSpec()
 
 
+def _footprint_model(value: float, w: float, what: str) -> float:
+    """``value``, the ``what`` of a ``w`` footprint, unless it left float range (0 or inf)."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"the {what} of a {w!r} m footprint is out of float range")
+    return value
+
+
 def dpi_time_constant(c_si, v_th, kappa, i_tau) -> Quantity:
     """Leaky-integrator time constant of the differential-pair circuit.
 
@@ -248,7 +254,7 @@ def cmos_max_time_constant(w_sy, spec: CmosTimeConstantSpec = CMOS_TIME_CONSTANT
     if w <= 0:
         raise DomainError("w_sy must be positive")
     c = spec.c_density * w * w
-    return Quantity(c * spec.v_th / (spec.kappa * spec.i_tau), TIME)
+    return Quantity(_footprint_model(c * spec.v_th / (spec.kappa * spec.i_tau), w, "CMOS time constant"), TIME)
 
 
 def meander_inductance(w_sy, spec: ScTimeConstantSpec = SC_TIME_CONSTANT_DEFAULTS) -> Quantity:
@@ -257,7 +263,7 @@ def meander_inductance(w_sy, spec: ScTimeConstantSpec = SC_TIME_CONSTANT_DEFAULT
     if w <= 0:
         raise DomainError("w_sy must be positive")
     value = w * w * spec.l_square / (spec.w_wire * (spec.w_wire + spec.w_gap))
-    return Quantity(value, INDUCTANCE)
+    return Quantity(_footprint_model(value, w, "meander inductance"), INDUCTANCE)
 
 
 def parallel_resistance(w_sy, spec: ScTimeConstantSpec = SC_TIME_CONSTANT_DEFAULTS) -> Quantity:
@@ -266,11 +272,11 @@ def parallel_resistance(w_sy, spec: ScTimeConstantSpec = SC_TIME_CONSTANT_DEFAUL
     if w <= 0:
         raise DomainError("w_sy must be positive")
     value = spec.r_s * spec.w_gap * (spec.w_wire + spec.w_gap) / (w * w)
-    return Quantity(value, RESISTANCE)
+    return Quantity(_footprint_model(value, w, "parallel resistance"), RESISTANCE)
 
 
 def sc_max_time_constant(w_sy, spec: ScTimeConstantSpec = SC_TIME_CONSTANT_DEFAULTS) -> Quantity:
     """Largest L/r time constant in a w_sy^2 footprint; scales as w_sy^4."""
-    return Quantity(
-        meander_inductance(w_sy, spec).value / parallel_resistance(w_sy, spec).value, TIME
-    )
+    w = si_value(w_sy, LENGTH, "w_sy")
+    tau = meander_inductance(w, spec).value / parallel_resistance(w, spec).value
+    return Quantity(_footprint_model(tau, w, "superconducting time constant"), TIME)

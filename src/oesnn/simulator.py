@@ -10,27 +10,31 @@ A detection adds the synapse's signed weight to the soma membrane, a leaky
 integrator that fires on threshold, resets, and honors a refractory period.
 
 A run compiles per-edge arrays, loops over the events, and reports.  The
-transmit delay is one constant, so arrivals come in time order: the loop
-merges the forced spikes, sorted by time, with a FIFO of per-spike
-arrival batches, and at equal times the forced spikes go first.  One
-handler takes every batch with array operations that reproduce, bit for
-bit, handling its arrivals one at a time in edge order, STDP writes
-included.  A graph holds each (pre, post) pair once, so a spike reaches
-each post neuron at most once.  A batch that would exceed the event budget
-is cut at it, and an STDP write that faults stops the run.
+transmit delay is one constant, so arrivals come in time order: each spike
+of a neuron with out-edges is one batch of arrivals one delay later, so the
+loop merges the forced spikes, sorted by time, with a cursor over the spike
+record, and at equal times the forced spikes go first.  One handler takes
+every batch with array operations that reproduce, bit for bit, handling its
+arrivals one at a time in edge order, STDP writes included.  A graph holds
+each (pre, post) pair once, so a spike reaches each post neuron at most
+once.  A batch that would exceed the event budget is cut at it, and an
+STDP write that faults stops the run.
 
 Synaptic memory is kept as per-edge columns (level, weight, write count,
 degraded flag and parameter group, see ``plasticity.MemoryColumns``), and
 STDP writes one edge at a time with scalar arithmetic on them.  Detection
-outcomes are drawn ahead in chunks and used in order.  The report holds
-the per-edge counter arrays and the memory columns; an edge's misses are
-the batches of its pre neuron less its detections and suppressions.
+outcomes are drawn ahead in chunks and used in order.  The loop records
+events and nothing else: the spikes, per-edge counts of detections,
+suppressions, writes and fluxons, and the loop-memory levels STDP moved.
+An edge's misses are the batches of its pre neuron less its detections and
+suppressions.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
  - externally driven spikes fire unconditionally (they model suprathreshold
    stimulation) and transmit like any other spike;
- - energy is tallied per event into a ledger whose cold categories are
+ - every energy category is an event count times a fixed energy per
+   event, priced once when the run is reported; cold categories are
    inflated by the platform's specific power to give wall energy.
 """
 
@@ -55,7 +59,7 @@ from .linkbudget import (
     source_energy_per_spike,
 )
 from .netgen import NetworkGraph
-from .plasticity import AnalogMemory, LoopMemory, MemoryColumns, StdpParams
+from .plasticity import AnalogMemory, LoopMemory, MemoryColumns, StdpParams, loop_write_energy
 from .platforms import SUPERCONDUCTING_4K, PlatformProfile, fluxon_budget, max_average_spike_rate
 from .quantities import FLUX_QUANTUM
 from .rng import substream
@@ -188,11 +192,12 @@ class Counters:
 
 @dataclass
 class EnergyLedger:
-    """Per-category cumulative energy, all joules.
+    """Per-category energy of a run, all joules.
 
-    Cold categories dissipate at the device stage and are inflated by the
-    platform's specific power; static leakage is counted at room
-    temperature.  Every category is non-negative and monotone during a run.
+    ``_report`` prices each category once, as an event count times its
+    energy per event.  Cold categories dissipate at the device stage and
+    are inflated by the platform's specific power; static leakage is
+    counted at room temperature.  Every category is non-negative.
     """
 
     source_optical: float = 0.0
@@ -305,14 +310,19 @@ def _initial_memory(ov: dict, defaults: SynapseDefaults) -> tuple[tuple[int, flo
     return (0, cell.write_noise_std, cell.endurance), -1, cell.value
 
 
+def _fluxons(level: int, weight: float, max_fluxons: float) -> int:
+    """Fluxons one detection emits on an edge: its weight's share of ``max_fluxons``, for loop memory only."""
+    return round(weight * max_fluxons) if level >= 0 else 0
+
+
 @dataclass(eq=False)
 class _Compiled:
-    """One run's per-edge arrays, link constants, and the counters and records the loop fills.
+    """One run's per-edge arrays, link constants, and the event counts the loop fills.
 
-    ``increment`` (sign times weight) and ``fluxon_j`` (fluxon energy per
-    detection, ``round(weight * max_fluxons) * fluxon_energy`` for loop
-    memory on a superconducting platform, else 0) follow ``memory``: they
-    are set at compile time and again whenever STDP writes an edge.
+    ``increment`` (sign times weight) and ``fluxons`` (fluxons per
+    detection, see :func:`_fluxons`) follow ``memory``: they are set at
+    compile time and again whenever STDP writes an edge.  Fluxon numbers
+    are whole values kept as float64, so no budget overflows them.
     """
 
     graph: NetworkGraph
@@ -322,8 +332,8 @@ class _Compiled:
     memory: MemoryColumns
     sign: np.ndarray
     increment: np.ndarray
-    fluxon_j: np.ndarray
-    max_fluxons: float
+    fluxons: np.ndarray
+    max_fluxons: float  # fluxons per detection at weight 1; 0 off superconducting platforms
     fluxon_energy: float
     forced_t: list[float]  # drive spikes in (time, drive, position) order
     forced_v: list[int]
@@ -332,17 +342,17 @@ class _Compiled:
     poisson_need: int | None  # photons a stochastic photodiode needs; None otherwise
     dead_time: float
     e_reset: float
-    superconducting: bool
     tau_soma: float
     det_count: np.ndarray
     sup_count: np.ndarray
     write_count: np.ndarray
-    ledger: EnergyLedger
+    fluxon_count: np.ndarray
     spikes: SpikeRecord
+    levels_moved: int = 0  # loop-memory levels STDP moved, over all writes
 
 
 def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
-    """Per-edge arrays, link constants, the forced-spike schedule and zeroed counters."""
+    """Per-edge arrays, link constants, the forced-spike schedule and zeroed event counts."""
     if graph.n == 0:
         raise DomainError("graph must contain at least one neuron")
     n = graph.n
@@ -351,15 +361,12 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     is_snspd = isinstance(link.receiver, SnspdReceiver)
 
     e_source = source_energy_per_spike(link).value
-    superconducting = config.profile.kind == "superconducting"
-    max_fluxons = config.energy.max_fluxons
-    if max_fluxons is None:
-        max_fluxons = int(fluxon_budget(e_source, config.energy.i_c))
-    max_fluxons = float(max_fluxons)
-    fluxon_energy = config.energy.i_c * FLUX_QUANTUM.value
-
-    def fluxon_of(level: int, weight: float) -> float:
-        return round(weight * max_fluxons) * fluxon_energy if superconducting and level >= 0 else 0.0
+    max_fluxons = 0.0
+    if config.profile.kind == "superconducting":
+        max_fluxons = config.energy.max_fluxons
+        if max_fluxons is None:
+            max_fluxons = int(fluxon_budget(e_source, config.energy.i_c))
+        max_fluxons = float(max_fluxons)
 
     # The arrays of every edge without an override are filled without a
     # pass over the edges.
@@ -372,7 +379,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     weight = np.full(n_edges, default_weight)
     sign = np.full(n_edges, default_sign)
     increment = np.full(n_edges, default_sign * default_weight)
-    fluxons = np.full(n_edges, fluxon_of(default_level, default_weight))
+    fluxons = np.full(n_edges, float(_fluxons(default_level, default_weight, max_fluxons)))
     taus = [defaults.tau]
     if config.synapse_overrides:
         overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
@@ -388,7 +395,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
                 key, level[e], weight[e] = _initial_memory(ov, defaults)
                 group[e] = groups.setdefault(key, len(groups))
                 increment[e] = sign[e] * weight[e]
-                fluxons[e] = fluxon_of(level[e], weight[e])
+                fluxons[e] = _fluxons(level[e], weight[e], max_fluxons)
         if 0 < overridden == n_edges:  # no edge keeps the default
             del taus[0]
     tau_soma = config.neuron.tau_soma
@@ -419,13 +426,12 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
             degraded=np.zeros(n_edges, dtype=bool),
             group=group,
             groups=list(groups),
-            i_c=config.energy.i_c,
         ),
         sign=sign,
         increment=increment,
-        fluxon_j=fluxons,
+        fluxons=fluxons,
         max_fluxons=max_fluxons,
-        fluxon_energy=fluxon_energy,
+        fluxon_energy=config.energy.i_c * FLUX_QUANTUM.value,
         forced_t=times[order].tolist(),
         forced_v=neurons[order].tolist(),
         e_source=e_source,
@@ -433,12 +439,11 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         poisson_need=poisson_need,
         dead_time=link.receiver.reset_time if is_snspd else 0.0,
         e_reset=snspd_reset_energy(link.receiver.l_spd, link.receiver.i_spd).value if is_snspd else 0.0,
-        superconducting=superconducting,
         tau_soma=tau_soma,
         det_count=np.zeros(n_edges, dtype=np.int64),
         sup_count=np.zeros(n_edges, dtype=np.int64),
         write_count=np.zeros(n_edges, dtype=np.int64),
-        ledger=EnergyLedger(per_neuron_source=np.zeros(n), per_neuron_receiver=np.zeros(n)),
+        fluxon_count=np.zeros(n_edges),
         spikes=SpikeRecord(),
     )
 
@@ -448,12 +453,12 @@ _TRACE_EVENTS = 32  # events an error reports
 
 
 def _loop(c: _Compiled) -> None:
-    """Process every event up to the run's duration, in time order.
+    """Process every event up to the run's duration, in time order, and count them into ``c``.
 
-    Two sources feed the loop: the forced spikes, and a FIFO of
-    ``(arrival time, pre neuron)`` batches, one per spike.  The transmit
-    delay is uniform, so the FIFO stays in time order; at equal times the
-    forced spikes go first.
+    Two sources feed the loop: the forced spikes, and a cursor over the
+    spike record, where each spike of a neuron with out-edges is one batch
+    of arrivals one transmit delay later.  The delay is uniform, so the
+    batches come in time order; at equal times the forced spikes go first.
     """
     config = c.config
     link = config.link
@@ -462,13 +467,11 @@ def _loop(c: _Compiled) -> None:
     rng_noise = substream(config.seed, "stdp-noise")
     n, n_edges, post = c.graph.n, c.graph.edge_count, c.graph.post
     out_edges, in_edges, memory = c.out_edges, c.in_edges, c.memory
-    sign, increment, fluxon_j = c.sign, c.increment, c.fluxon_j
+    sign, increment, fluxons = c.sign, c.increment, c.fluxons
     membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
-    det_count, sup_count, write_count = c.det_count, c.sup_count, c.write_count
-    ledger, spikes = c.ledger, c.spikes
-    counters = ledger.counters
-    per_neuron_source, per_neuron_receiver = ledger.per_neuron_source, ledger.per_neuron_receiver
-    e_source, e_reset, dead_time = c.e_source, c.e_reset, c.dead_time
+    det_count, sup_count, write_count, fluxon_count = c.det_count, c.sup_count, c.write_count, c.fluxon_count
+    neurons, times = c.spikes.neurons, c.spikes.times
+    dead_time, max_fluxons = c.dead_time, c.max_fluxons
     # Only a dead time reads the last detection, and only STDP the last arrival.
     last_detection = np.full(n_edges, -math.inf) if dead_time else None
     last_pre_event = np.full(n_edges, -math.inf) if plasticity is not None else None
@@ -476,15 +479,11 @@ def _loop(c: _Compiled) -> None:
     # Nothing else reads the detect stream, and a chunked draw gives the
     # values of one long draw, so outcomes are drawn ahead and used in order.
     pool, used = np.empty(0, dtype=bool), 0
-    is_snspd = isinstance(link.receiver, SnspdReceiver)
-    superconducting, max_fluxons, fluxon_energy = c.superconducting, c.max_fluxons, c.fluxon_energy
     tau_soma = c.tau_soma
     threshold = config.neuron.threshold
     refractory = config.neuron.refractory
     delay = config.neuron.transmit_delay
-    per_spike_overhead = config.energy.per_spike_overhead
 
-    queue: deque[tuple[float, int]] = deque()
     # The last events: one entry per forced spike and one per batch, made
     # one entry per event only when an error reports them.
     trace: deque = deque(maxlen=_TRACE_EVENTS)
@@ -496,45 +495,31 @@ def _loop(c: _Compiled) -> None:
             events += [(t, "arrival", e) for e in what[-_TRACE_EVENTS:].tolist()] if batch else [(t, kind, what)]
         return events[-_TRACE_EVENTS:]
 
-    def fire(v: int, t: float, forced: bool) -> None:
-        spikes.neurons.append(v)
-        spikes.times.append(t)
-        counters.spikes += 1
-        if forced:
-            counters.forced_spikes += 1
+    def fire(v: int, t: float) -> None:
+        neurons.append(v)
+        times.append(t)
         last_spike[v] = t
         membrane[v] = 0.0
         membrane_t[v] = t
-        ledger.soma_overhead += per_spike_overhead
         if plasticity is not None:
             for e in in_edges[v].tolist():
                 if last_pre_event[e] > -math.inf:
                     stdp_write(e, last_pre_event[e], t)
-        fanout = len(out_edges[v])
-        if fanout:
-            source, own = ledger.source_optical, float(per_neuron_source[v])
-            for _ in range(fanout):
-                source += e_source
-                own += e_source
-            ledger.source_optical, per_neuron_source[v] = source, own
-            counters.transmissions += fanout
-            queue.append((t + delay, v))
 
     def stdp_write(e: int, pre_t: float, post_t: float) -> None:
-        """Apply the STDP pairing of edge ``e`` to its memory and account for the write."""
+        """Apply the STDP pairing of edge ``e`` to its memory and count the write."""
         try:
-            applied, energy = memory.write(e, pre_t, post_t, plasticity, rng_noise)
+            applied = memory.write(e, pre_t, post_t, plasticity, rng_noise)
         except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
             raise SimulationError(f"synapse {e}: {exc}", tail()) from None
         if applied == 0.0:
             return
         write_count[e] += 1
-        counters.stdp_writes += 1
-        ledger.memory_update += energy
-        weight = float(memory.weight[e])
+        weight, level = float(memory.weight[e]), int(memory.level[e])
         increment[e] = sign[e] * weight
-        if superconducting and memory.level[e] >= 0:
-            fluxon_j[e] = round(weight * max_fluxons) * fluxon_energy
+        if level >= 0:
+            c.levels_moved += abs(int(applied))
+            fluxons[e] = _fluxons(level, weight, max_fluxons)
 
     def detected(k: int) -> np.ndarray:
         """The next ``k`` detection outcomes of the stream."""
@@ -563,38 +548,20 @@ def _loop(c: _Compiled) -> None:
         # ndarray.all() on short arrays.
         if dead_time:
             dead = t - last_detection[edges] < dead_time
-            n_dead = int(np.count_nonzero(dead))
-            if n_dead:
+            if np.count_nonzero(dead):
                 sup_count[edges[dead]] += 1
-                counters.suppressed += n_dead
                 edges, posts = edges[~dead], posts[~dead]
         if stochastic:
             hit = detected(edges.size)
-            n_hit = int(np.count_nonzero(hit))
-            if n_hit < hit.size:  # each edge's misses follow from its batches in _report
-                counters.misses += hit.size - n_hit
+            if np.count_nonzero(hit) < hit.size:  # each edge's misses follow from its batches in _report
                 edges, posts = edges[hit], posts[hit]
         if not edges.size:
             return
         det_count[edges] += 1
-        counters.detections += edges.size
         if dead_time:
             last_detection[edges] = t
-        # One addition per detection, in edge order, so the ledger rounds as
-        # it would one arrival at a time.
-        if is_snspd:
-            reset = ledger.detector_reset
-            for _ in range(edges.size):
-                reset += e_reset
-            ledger.detector_reset = reset
-            per_neuron_receiver[posts] += e_reset
-        if superconducting:
-            emitted = fluxon_j[edges]
-            fluxon = ledger.fluxon
-            for energy in emitted.tolist():
-                fluxon += energy
-            ledger.fluxon = fluxon
-            per_neuron_receiver[posts] += emitted
+        if max_fluxons:
+            fluxon_count[edges] += fluxons[edges]
         # math.exp, not np.exp: the two can differ in the last bit.
         exponents = ((membrane_t[posts] - t) / tau_soma).tolist()
         decay = np.fromiter(map(math.exp, exponents), dtype=np.float64, count=len(exponents))
@@ -609,7 +576,7 @@ def _loop(c: _Compiled) -> None:
         if plasticity is None:
             for v in posts[above].tolist():
                 if t - last_spike[v] >= refractory:
-                    fire(v, t, forced=False)
+                    fire(v, t)
             return
         # In edge order: depress the edge if its post neuron has spiked,
         # then fire that neuron if it crossed, so the STDP noise draws keep
@@ -619,7 +586,7 @@ def _loop(c: _Compiled) -> None:
             if last_spike[v] > -math.inf:
                 stdp_write(e, t, last_spike[v])
             if up and t - last_spike[v] >= refractory:
-                fire(v, t, forced=False)
+                fire(v, t)
 
     def over_budget() -> SimulationError:
         return SimulationError(
@@ -628,56 +595,52 @@ def _loop(c: _Compiled) -> None:
         )
 
     forced_t, forced_v = c.forced_t, c.forced_v
-    next_forced = 0
-    processed = 0
+    next_forced = next_batch = processed = 0
     while True:
-        if next_forced < len(forced_t) and (not queue or forced_t[next_forced] <= queue[0][0]):
+        # A spike of a neuron without out-edges is no batch.
+        while next_batch < len(neurons) and not out_edges[neurons[next_batch]].size:
+            next_batch += 1
+        arrival = times[next_batch] + delay if next_batch < len(neurons) else math.inf
+        if next_forced < len(forced_t) and forced_t[next_forced] <= arrival:
             t, v = forced_t[next_forced], forced_v[next_forced]
             next_forced += 1
             processed += 1
             if processed > config.max_events:
                 raise over_budget()
             trace.append((t, "forced", v))
-            fire(v, t, forced=True)
+            fire(v, t)
             continue
-        if not queue:
+        if arrival > config.duration:
             break
-        t, pre = queue.popleft()
-        if t > config.duration:
-            break
-        edges = out_edges[pre]
+        edges = out_edges[neurons[next_batch]]
+        next_batch += 1
         # A batch that would cross the budget is cut at it: the events up
         # to the budget run, then the run stops.
         over = processed + edges.size > config.max_events
         if over:
             edges = edges[: config.max_events - processed]
         processed += edges.size
-        trace.append((t, "arrivals", edges))
-        arrive(t, edges)
+        trace.append((arrival, "arrivals", edges))
+        arrive(arrival, edges)
         if over:
             raise over_budget()
 
 
 def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
-    """Close the ledger over the run and gather the per-synapse report."""
-    graph, config, ledger, spikes = c.graph, c.config, c.ledger, c.spikes
-    n, n_edges = graph.n, graph.edge_count
-    # Static leakage integrates over the whole run for biased photodiodes.
-    if isinstance(config.link.receiver, ReceiverlessPhotodiode):
-        ledger.static_leakage = (
-            n_edges * photodiode_static_power(config.link.receiver).value * config.duration
-        )
-
-    fanin = np.bincount(graph.post, minlength=n)
+    """Price the run's event counts into the energy ledger and gather the per-synapse report."""
+    graph, config, spikes = c.graph, c.config, c.spikes
+    n = graph.n
     neurons = np.asarray(spikes.neurons, dtype=np.int64)
-    spiked, counts = np.unique(neurons, return_counts=True)
-    estimate = 0.0
-    for v, count in zip(spiked.tolist(), counts.tolist()):
-        estimate += count * math.sqrt(fanin[v])
+    fired = np.bincount(neurons, minlength=n)
+    sent = fired * np.bincount(graph.pre, minlength=n)  # transmissions of each neuron
     # The loop delivers each spike's batch if it arrives within the run, and
     # every arrival of a batch is detected, suppressed or missed.
     arrived = np.asarray(spikes.times) + config.neuron.transmit_delay <= config.duration
     batches = np.bincount(neurons[arrived], minlength=n)
+    fanin = np.bincount(graph.post, minlength=n)
+    estimate = 0.0
+    for v in np.flatnonzero(fired).tolist():
+        estimate += int(fired[v]) * math.sqrt(fanin[v])
     report = SynapseReport(
         pre=graph.pre,
         post=graph.post,
@@ -687,6 +650,35 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
         writes=c.write_count,
         memory=c.memory,
         sqrt_fanin_update_estimate=estimate,
+    )
+    counters = Counters(
+        spikes=len(spikes),
+        forced_spikes=len(c.forced_t),
+        transmissions=int(sent.sum()),
+        detections=int(c.det_count.sum()),
+        misses=int(report.misses.sum()),
+        suppressed=int(c.sup_count.sum()),
+        stdp_writes=int(c.write_count.sum()),
+    )
+    write_energy = getattr(config.plasticity, "write_energy", None)
+    if write_energy is None:
+        memory_update = loop_write_energy(c.levels_moved, config.energy.i_c)
+    else:
+        memory_update = counters.stdp_writes * write_energy
+    static_leakage = 0.0
+    if isinstance(config.link.receiver, ReceiverlessPhotodiode):  # the bias leaks over the whole run
+        static_leakage = graph.edge_count * photodiode_static_power(config.link.receiver).value * config.duration
+    ledger = EnergyLedger(
+        source_optical=counters.transmissions * c.e_source,
+        detector_reset=counters.detections * c.e_reset,
+        fluxon=float(c.fluxon_count.sum()) * c.fluxon_energy,
+        memory_update=memory_update,
+        soma_overhead=counters.spikes * config.energy.per_spike_overhead,
+        static_leakage=static_leakage,
+        counters=counters,
+        per_neuron_source=sent * c.e_source,
+        per_neuron_receiver=np.bincount(graph.post, weights=c.det_count, minlength=n) * c.e_reset
+        + np.bincount(graph.post, weights=c.fluxon_count, minlength=n) * c.fluxon_energy,
     )
     return spikes, ledger, report
 

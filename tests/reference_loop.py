@@ -1,14 +1,18 @@
 """The simulator's event loop written one arrival at a time, as a test reference.
 
 ``simulator._loop`` handles all arrivals of one spike together with array
-operations, writes STDP on per-edge memory columns, and leaves each edge's
-misses for ``simulator._report`` to derive.  This module handles the same
-events the plain way: forced spikes and arrivals merged in time order, each
+operations, writes STDP on per-edge memory columns, and only counts events:
+``simulator._report`` derives each edge's misses and prices the energy
+ledger from the counts.  This module handles the same events the plain way:
+forced spikes and arrivals merged in time order through a queue, each
 arrival on its own, in edge order, with scalar draws from the detection
-stream, on one scalar memory cell per edge that ``apply_stdp`` replaces, and
-with each edge's misses counted as they happen.  It runs over the record
-``simulator._compile`` builds, writes its final cells back into the memory
-columns, and is closed by ``simulator._report``.
+stream, on one scalar memory cell per edge that ``apply_stdp`` replaces,
+with each edge's misses counted as they happen, and with live counters and
+an energy ledger that adds each event's energy as it happens.  It runs over
+the record ``simulator._compile`` builds and fills the same event counts,
+writes its final cells back into the memory columns, and is closed by
+``simulator._report``, so the priced ledger can be checked against the
+per-event one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from oesnn.errors import SimulationError
-from oesnn.linkbudget import SnspdReceiver
+from oesnn.linkbudget import ReceiverlessPhotodiode, SnspdReceiver, photodiode_static_power
 from oesnn.plasticity import (
     AnalogMemory,
     LoopMemory,
@@ -29,14 +33,14 @@ from oesnn.plasticity import (
     weight_to_fluxon_rate,
 )
 from oesnn.rng import substream
-from oesnn.simulator import SynapseDefaults, _compile, _Compiled, _report
+from oesnn.simulator import EnergyLedger, SynapseDefaults, _compile, _Compiled, _report
 
 
 def reference_run(graph, config):
-    """``simulator.run`` with the arrival-by-arrival loop below, and its own per-edge misses."""
+    """``simulator.run`` with the arrival-by-arrival loop below, its own per-edge misses and its own ledger."""
     compiled = _compile(graph, config)
-    _, misses = _reference_loop(compiled)
-    spikes, ledger, report = _report(compiled)
+    _, misses, ledger = _reference_loop(compiled)
+    spikes, _, report = _report(compiled)
     report.misses = misses
     return spikes, ledger, report
 
@@ -65,8 +69,8 @@ def initial_cells(graph, config) -> list[MemoryCell]:
     return [_memory_cell(overrides[pair], config.synapse) if pair in overrides else default for pair in pairs]
 
 
-def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray]:
-    """Run the events, store the final cells in ``c.memory`` too, and return them and each edge's misses."""
+def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyLedger]:
+    """Run the events, store the final cells in ``c.memory`` too, and return them, each edge's misses and the ledger."""
     config = c.config
     link = config.link
     plasticity = config.plasticity
@@ -75,13 +79,23 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray]:
     n, n_edges, post = c.graph.n, c.graph.edge_count, c.graph.post
     out_edges, in_edges = c.out_edges, c.in_edges
     cells = initial_cells(c.graph, config)
-    sign, increment, fluxon_j = c.sign, c.increment, c.fluxon_j
+    superconducting = config.profile.kind == "superconducting"
+
+    def fluxon_rate(cell: MemoryCell) -> int:
+        loop = superconducting and isinstance(cell, LoopMemory)
+        return weight_to_fluxon_rate(cell, c.max_fluxons) if loop else 0
+
+    sign, increment = c.sign, c.increment
+    rates = [fluxon_rate(cell) for cell in cells]
     membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
     last_detection, last_pre_event = np.full(n_edges, -math.inf), np.full(n_edges, -math.inf)
     misses = np.zeros(n_edges, dtype=np.int64)
-    ledger, spikes = c.ledger, c.spikes
+    spikes = c.spikes
+    ledger = EnergyLedger(per_neuron_source=np.zeros(n), per_neuron_receiver=np.zeros(n))
     counters = ledger.counters
     per_neuron_source, per_neuron_receiver = ledger.per_neuron_source, ledger.per_neuron_receiver
+    if isinstance(link.receiver, ReceiverlessPhotodiode):
+        ledger.static_leakage = n_edges * photodiode_static_power(link.receiver).value * config.duration
     mean_photons = link.mean_photons() if c.poisson_need is not None else None
     draw_random = c.poisson_need is None and c.p_detect < 1.0
     is_snspd = isinstance(link.receiver, SnspdReceiver)
@@ -120,13 +134,14 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray]:
         c.write_count[e] += 1
         counters.stdp_writes += 1
         cell = cells[e]
+        if isinstance(cell, LoopMemory):
+            c.levels_moved += abs(int(applied))
         if plasticity.write_energy is not None:
             ledger.memory_update += plasticity.write_energy
         elif isinstance(cell, LoopMemory):
             ledger.memory_update += loop_write_energy(applied, config.energy.i_c)
         increment[e] = sign[e] * cell.weight
-        if c.superconducting and isinstance(cell, LoopMemory):
-            fluxon_j[e] = weight_to_fluxon_rate(cell, c.max_fluxons) * c.fluxon_energy
+        rates[e] = fluxon_rate(cell)
 
     def arrive(e: int, v: int, t: float) -> None:
         """One arrival on edge ``e`` into neuron ``v``."""
@@ -150,9 +165,10 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray]:
         if is_snspd:
             ledger.detector_reset += c.e_reset
             per_neuron_receiver[v] += c.e_reset
-        if c.superconducting:
-            ledger.fluxon += float(fluxon_j[e])
-            per_neuron_receiver[v] += fluxon_j[e]
+        if rates[e]:
+            c.fluxon_count[e] += rates[e]
+            ledger.fluxon += rates[e] * c.fluxon_energy
+            per_neuron_receiver[v] += rates[e] * c.fluxon_energy
         pulse = increment[e]
         if plasticity is not None:
             if last_spike[v] > -math.inf:
@@ -198,7 +214,7 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray]:
             trace.append((t, "arrival", e))
             arrive(e, int(post[e]), t)
     write_back(cells, c.memory)
-    return cells, misses
+    return cells, misses, ledger
 
 
 def write_back(cells: list[MemoryCell], memory) -> None:

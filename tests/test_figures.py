@@ -163,3 +163,10 @@ def test_fig6_rejects_non_positive_eta(etas, tmp_path, capsys):
     assert main(["figure", "fig6", "--set", f"etas={etas}", "--out", str(tmp_path)]) == 2
     assert "etas" in capsys.readouterr().err
     assert not (tmp_path / "fig6.csv").exists()
+
+
+@pytest.mark.parametrize("width", ["1e150", "2.8453629175014606e153"])
+def test_fig7_width_out_of_float_range_exits_with_usage_code(width, tmp_path, capsys):
+    assert main(["figure", "fig7", "--set", f"widths_m=[{width}]", "--out", str(tmp_path)]) == 2
+    assert "out of float range" in capsys.readouterr().err
+    assert not (tmp_path / "fig7.csv").exists()

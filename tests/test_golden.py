@@ -173,11 +173,11 @@ ER_SCENARIOS = {
 GOLDEN = {
     "ledger-fanout": (
         "383da0994eac702d388330c2db177291e26188a511ab7374aece0d47f07d4cd4",
-        "a5ab2c451f79ead4f0f08ccd2b079043709aa2b8932385322c0464e2dcb6bb70",
+        "6fd74e95fe7999de6f30a65d29108df9603e1be0488bf78f19eb6674120a701b",
     ),
     "poisson-link": (
         "4756cf480f544dc6547cfc0e5a4057914a75f51fec27081851fd3d0d1961c35f",
-        "3499af21f2a933f3f09419675f583de36056b5d9627a1a96537ed58dcb816325",
+        "e6472f7190596791ba1c2fb8d399fc547ae95add0ab76c896e008ea6747cbecd",
     ),
     "two-synapse-coincidence": (
         "133e592a6cf6334bb8daacb5096a7dc3021e7a72b0319c3a5ce92b068a0502fa",
@@ -185,35 +185,35 @@ GOLDEN = {
     ),
     "er-snspd-loop": (
         "9b614bd5bf63a16f714d4e774cf9f71169fde17d07da8f7fa39c3b627876726a",
-        "ce15b2342d543cec60cc665ad787c85bf2916be519f829a4387f14ec8e17a33a",
+        "d1728740ece7cfd3342cb6e42a9d004332071ee61589a41d4ed08429e67e8357",
     ),
     "er-photodiode-stdp": (
         "247b4ccc732fb23047fff26accd027cbf8a9a9740ada19d89d85e84f81f14284",
-        "f00e72d7f28fbd69ba7cf7c16bbbb62572d23f78fd6a4bef8031ceb0f1bcf60a",
+        "a234c4a33ed1ca5ee2595e0a309af3eee36df7f3afa843e085de8607b3608a47",
     ),
     "er-delay0-cascade": (
         "e085ce0905e75e1c788c9416041f81db7f736e35aacd6d0635ca52c27b2137cf",
-        "7ff50549c1da9ff260a2b912fed89fe5bd7eb8dd38470128cb0abed699513427",
+        "22b28bdad50d44da29f7ee6deb49799f12529b7dd84363d6ab4b18de43fa347a",
     ),
     "er-snspd-dead-time": (
         "108a1df4a60917549a89e961e936ec653a2d17be72062a965fbc8eadfdce5870",
-        "5a20ae7c29b7808f92cc2885fb84edcc3246dffbb875f13b36b969f8980b9249",
+        "fcc4d51c34e413a38fe2f0216d531605b1fc6ef2fff94697802cd571e3f3c236",
     ),
     "er-photodiode-deterministic": (
         "906b1666a30cb41b3789175331bbc12d39081d063ab3c57682ec2b8a663c96e1",
-        "72d47ca3c78a73e9c5748fe1a4013dc7b517f0b9a4ff7641ccccd7488c7f3f77",
+        "a2839d7ee24661c6a727599942e1f40985367bb1ca8721ca4b3133a1206d163a",
     ),
     "er-photodiode-poisson": (
         "921a45f0a247e4ca170974d35e7822aa2fae21bd407b4e5f47e70fa1f801dc01",
-        "611e07d349b6c7d48c8b714689bac0b1a71f0fddc9541d93288f1ecc011b0733",
+        "942adbd58b0492ab1c0e1ffa8bf2082c3f48141a0123d1c1a432c3a279b98eba",
     ),
     "ring-mixed-overrides": (
         "79f7155860bfa556a3198b9b5537c22770628af37e1e7d1d50ee0c61f59ccda0",
-        "1ccbd2bafeef9aa80256c91d0cdb490bf1eac2326e42f169addf37539c67586d",
+        "7db5ef7c6d62c6a1aa60e384177723fc838e0e37e3a3719f035fe36daad62a4d",
     ),
     "er-loop-stdp-chunks": (
         "9f38d22c0fddde9ed115fae0b2fe7392365479c54295f675e7f858eb47193282",
-        "a09181f0d66519c48f52525ca47718868be7027a01ccf0e0016c47c99938cbc7",
+        "5f773106a04c912c06c58afd1879dd550250a2ecae7babc3aa142c391ab8fa6a",
     ),
 }
 

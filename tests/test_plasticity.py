@@ -168,7 +168,7 @@ def test_loop_write_energy_is_fluxon_cost():
     assert loop_write_energy(-3, 300e-6) == loop_write_energy(3, 300e-6)
 
 
-def _columns(cells, i_c: float) -> MemoryColumns:
+def _columns(cells) -> MemoryColumns:
     """Memory columns holding ``cells``, one parameter group per distinct parameter set."""
     groups: dict = {}
     for cell in cells:
@@ -187,7 +187,6 @@ def _columns(cells, i_c: float) -> MemoryColumns:
         degraded=np.array([c.degraded for c in cells]),
         group=np.array([groups[k] for k in keys], dtype=np.intp),
         groups=list(groups),
-        i_c=i_c,
     )
 
 
@@ -237,8 +236,7 @@ class TestMemoryColumns:
             a_plus=a_plus, a_minus=a_minus, tau_plus=1e-6, tau_minus=1e-6,
             on_exhaustion=on_exhaustion, write_energy=write_energy,
         )
-        i_c = 300e-6
-        columns = _columns(cells, i_c)
+        columns = _columns(cells)
         rng_cells, rng_columns = np.random.default_rng(seed), np.random.default_rng(seed)
         for pick, dt in pairings:
             e = pick % len(cells)
@@ -248,13 +246,7 @@ class TestMemoryColumns:
                 with pytest.raises(DomainError, match="endurance exhausted"):
                     columns.write(e, 0.0, dt, params, rng_columns)
                 break
-            energy = 0.0
-            if applied != 0.0:
-                if write_energy is not None:
-                    energy = write_energy
-                elif isinstance(cells[e], LoopMemory):
-                    energy = loop_write_energy(applied, i_c)
-            assert columns.write(e, 0.0, dt, params, rng_columns) == (applied, energy)
+            assert columns.write(e, 0.0, dt, params, rng_columns) == applied
         assert columns.weight.tolist() == [c.weight for c in cells]
         assert columns.level.tolist() == [c.level if isinstance(c, LoopMemory) else -1 for c in cells]
         assert columns.writes.tolist() == [c.write_count for c in cells]
@@ -263,9 +255,9 @@ class TestMemoryColumns:
 
     def test_clamped_noisy_write_wears_but_changes_nothing(self):
         params = StdpParams(a_plus=0.4, a_minus=0.5, tau_plus=1e-6, tau_minus=1e-6)
-        columns = _columns([AnalogMemory(value=1.0, write_noise_std=0.01, endurance=1)], 300e-6)
+        columns = _columns([AnalogMemory(value=1.0, write_noise_std=0.01, endurance=1)])
         rng = np.random.default_rng(3)
-        assert columns.write(0, 0.0, 0.0, params, rng) == (0.0, 0.0)  # no write for the report
+        assert columns.write(0, 0.0, 0.0, params, rng) == 0.0  # no write for the report
         assert columns.writes[0] == 1 and columns.weight[0] == 1.0
-        assert columns.write(0, 0.0, 0.0, params, rng) == (0.0, 0.0)
+        assert columns.write(0, 0.0, 0.0, params, rng) == 0.0
         assert columns.degraded[0]

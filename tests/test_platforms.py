@@ -195,6 +195,13 @@ class TestTimeConstants:
         for w in above:
             assert sc_max_time_constant(float(w)).value > cmos_max_time_constant(float(w)).value
 
+    @pytest.mark.parametrize("model", [cmos_max_time_constant, sc_max_time_constant])
+    @pytest.mark.parametrize("w", [1e150, 2.8453629175014606e153, 1e-200])
+    def test_footprint_out_of_float_range_is_domain_error(self, model, w):
+        # Widths where a model's value overflows to inf or underflows to 0 (or a division by 0).
+        with pytest.raises(DomainError, match="out of float range"):
+            model(w)
+
     def test_kappa_range_enforced(self):
         with pytest.raises(DomainError):
             CmosTimeConstantSpec(kappa=2.5)

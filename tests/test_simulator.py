@@ -226,6 +226,7 @@ class TestLedgerExactness:
         assert expected == pytest.approx(0.927e-12, rel=1e-3)
 
     def test_every_category_matches_event_counts(self):
+        # Each category is its event count times its energy per event, with one rounding.
         config = SimConfig(
             duration=1e-3,
             seed=5,
@@ -238,17 +239,17 @@ class TestLedgerExactness:
         )
         _, ledger, report = run(fan_graph(4), config)
         c = ledger.counters
+        assert (c.spikes, c.transmissions, c.detections) == (500, 2000, sum(report.detections.tolist()))
         e_source = 7.0 * photon_energy(1.5e-6).value / 0.01
         e_reset = 0.5 * 100e-9 * (10e-6) ** 2
         level = round(0.25 * 1023)
         budget = int(e_source / (300e-6 * CONSTANTS.phi0))
         fluxons = round(level / 1023 * budget)
-        assert ledger.source_optical == pytest.approx(c.transmissions * e_source, rel=1e-9)
-        assert ledger.detector_reset == pytest.approx(c.detections * e_reset, rel=1e-9)
-        assert ledger.fluxon == pytest.approx(
-            c.detections * fluxons * 300e-6 * CONSTANTS.phi0, rel=1e-9
-        )
-        assert ledger.soma_overhead == pytest.approx(c.spikes * 2e-18, rel=1e-9)
+        assert ledger.source_optical == c.transmissions * e_source
+        assert ledger.detector_reset == c.detections * e_reset
+        assert ledger.fluxon == c.detections * fluxons * (300e-6 * CONSTANTS.phi0)
+        assert ledger.soma_overhead == c.spikes * 2e-18
+        assert ledger.memory_update == 0.0
         assert ledger.static_leakage == 0.0
         assert ledger.wall_total(SUPERCONDUCTING_4K) == pytest.approx(
             1000 * ledger.cold_total(), rel=1e-12
@@ -258,6 +259,55 @@ class TestLedgerExactness:
         assert ledger.per_neuron_receiver.sum() == pytest.approx(
             ledger.detector_reset + ledger.fluxon, rel=1e-12
         )
+
+    @pytest.mark.parametrize("write_energy", ["no plasticity", None, 1e-15])
+    def test_memory_and_per_neuron_energy_match_event_counts(self, write_energy):
+        # Edges 0 and 1 hold loop memory, edges 2 and 3 analog memory.  STDP
+        # only potentiates, so the loop levels moved are the final levels
+        # less the initial ones.
+        overrides = {
+            (0, 1): {"memory_kind": "loop", "bits": 10, "weight": 0.25},
+            (0, 2): {"memory_kind": "loop", "bits": 4, "level": 3},
+            (0, 3): {"weight": 0.3},
+        }
+        plasticity = None
+        if write_energy != "no plasticity":
+            plasticity = StdpParams(
+                a_plus=1.0, a_minus=0.0, tau_plus=1e-6, tau_minus=1e-6, write_energy=write_energy
+            )
+        config = SimConfig(
+            duration=1e-3,
+            seed=5,
+            link=snspd_link(eta=0.01, n_ph=7.0, stochastic=True),
+            neuron=NeuronParams(threshold=0.2, refractory=1e-7),
+            synapse=SynapseDefaults(tau=1e-7, weight=0.25),
+            synapse_overrides=overrides,
+            plasticity=plasticity,
+            energy=EnergyParams(i_c=300e-6),
+            inputs=(InputDrive(neuron=0, count=60, interval=1e-6),),
+        )
+        _, ledger, report = run(fan_graph(4), config)
+        e_source = 7.0 * photon_energy(1.5e-6).value / 0.01
+        e_reset = 0.5 * 100e-9 * (10e-6) ** 2
+        fluxon_energy = 300e-6 * CONSTANTS.phi0
+        budget = int(e_source / fluxon_energy)
+        detections = report.detections.tolist()
+        assert ledger.per_neuron_source.tolist() == [60 * 4 * e_source, 0.0, 0.0, 0.0, 0.0]
+        receiver = ledger.per_neuron_receiver.tolist()
+        assert receiver[0] == 0.0
+        assert receiver[3:] == [d * e_reset for d in detections[2:]]  # analog memory emits no fluxons
+        writes = report.writes.tolist()
+        if plasticity is None:
+            rates = [round(round(0.25 * 1023) / 1023 * budget), round(3 / 15 * budget)]
+            assert receiver[1:3] == [d * e_reset + d * r * fluxon_energy for d, r in zip(detections, rates)]
+            assert ledger.memory_update == 0.0 and writes == [0, 0, 0, 0]
+            return
+        assert min(writes) > 0 and ledger.counters.stdp_writes == sum(writes)
+        if write_energy is None:
+            moved = report.levels[0] - round(0.25 * 1023) + report.levels[1] - 3
+            assert moved > 0 and ledger.memory_update == moved * 300e-6 * CONSTANTS.phi0
+        else:
+            assert ledger.memory_update == sum(writes) * 1e-15
 
     def test_static_leakage_closed_form_zero_activity(self):
         pd = ReceiverlessPhotodiode(v_bias=1.0, i_leak=1e-9)
@@ -518,12 +568,14 @@ class TestGuards:
 class TestBatchedArrivals:
     """``run()`` against the arrival-by-arrival loop in ``reference_loop``.
 
-    ``run()`` handles each spike's arrivals as one batch and writes STDP on
-    the memory columns; the reference handles them one at a time with scalar
-    draws, on one scalar memory cell per edge, and counts each edge's misses
-    itself.  Both share the compile and report phases, so each case must
-    agree exactly in everything.  The cases include every ER document whose
-    output bytes ``test_golden`` pins.
+    ``run()`` handles each spike's arrivals as one batch, writes STDP on
+    the memory columns and prices its ledger once from event counts; the
+    reference handles them one at a time with scalar draws, on one scalar
+    memory cell per edge, counts each edge's misses itself, and keeps live
+    counters and a ledger that adds each event's energy.  Spikes, counters
+    and synapse rows must agree exactly, and each energy value to rounding.
+    The cases include every ER document whose output bytes ``test_golden``
+    pins.
     """
 
     CASES = [
@@ -579,15 +631,24 @@ class TestBatchedArrivals:
     @pytest.mark.parametrize("case", CASES + sorted(ER_SCENARIOS))
     def test_batches_match_single_arrivals(self, case):
         graph, config = self._case(case)
-        results = []
+        results, ledgers = [], []
         for simulate in (run, reference_run):
             spikes, ledger, report = simulate(graph, config)
-            results.append((spikes.neurons, spikes.times, ledger.as_dict(config.profile), report.as_dict()))
+            results.append((spikes.neurons, spikes.times, report.as_dict()))
+            ledgers.append(ledger.as_dict(config.profile))
         assert results[0] == results[1]
-        counters = results[0][2]["counters"]
+        priced, summed = ledgers
+        assert priced.keys() == summed.keys() and priced["categories_j"].keys() == summed["categories_j"].keys()
+        assert priced["counters"] == summed["counters"]
+        for key in priced.keys() - {"counters"}:
+            got, want = priced[key], summed[key]
+            if key == "categories_j":
+                got, want = list(got.values()), list(want.values())
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=key)
+        counters = priced["counters"]
         assert counters["detections"] > 0
         assert (counters["stdp_writes"] > 0) == (config.plasticity is not None)
-        assert sum(row["misses"] for row in results[0][3]["synapses"]) == counters["misses"]
+        assert sum(row["misses"] for row in results[0][2]["synapses"]) == counters["misses"]
 
     @pytest.mark.parametrize("lam", [0.3, 4.9, 50.0, 5000.0, None])
     def test_chunked_detection_draws_equal_one_draw(self, lam):
@@ -604,7 +665,7 @@ class TestBatchedArrivals:
         """The report's per-edge views equal the cells the arrival-by-arrival loop leaves."""
         graph, config = self._case(case)
         _, _, report = run(graph, config)
-        cells, _ = _reference_loop(_compile(graph, config))
+        cells, _, _ = _reference_loop(_compile(graph, config))
         assert report.weights == [cell.weight for cell in cells]
         assert report.levels == [cell.level if isinstance(cell, LoopMemory) else None for cell in cells]
         assert report.degraded == [cell.degraded for cell in cells]
