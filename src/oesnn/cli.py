@@ -506,10 +506,6 @@ def cmd_simulate(args) -> int:
         doc["profile"] = args.profile
     graph, config = build_scenario(doc)
     spikes, ledger, report = run(graph, config)
-    out = _out_dir(args.out)
-    spikes_path = out / "spikes.csv"
-    ledger_path = out / "ledger.json"
-    spikes.write_csv(spikes_path)
     summary = power_report(
         ledger,
         config.duration,
@@ -526,6 +522,14 @@ def cmd_simulate(args) -> int:
         "energy": ledger.as_dict(config.profile),
         "power": summary.as_dict(),
     }
+    try:  # JSON holds no inf or nan: a run whose figures leave float range writes nothing
+        json.dumps(doc_out, allow_nan=False)
+    except ValueError:
+        raise SimulationError("the run's energy or power figures leave float range") from None
+    out = _out_dir(args.out)
+    spikes_path = out / "spikes.csv"
+    ledger_path = out / "ledger.json"
+    spikes.write_csv(spikes_path)
     with open(ledger_path, "w", encoding="utf-8", newline="") as fh:
         _write_ledger(fh, doc_out, report)
     mean_rate = len(spikes) / (graph.n * config.duration)

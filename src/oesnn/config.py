@@ -325,4 +325,7 @@ def _read(doc) -> tuple[list[str], dict | None, SimConfig | None]:
     parts["inputs"] = tuple(inputs)
     if problems:
         return problems, None, None
-    return [], network, SimConfig(**parts)
+    try:  # the rules that span records
+        return [], network, SimConfig(**parts)
+    except DomainError as exc:
+        return [f"scenario: {exc}"], None, None

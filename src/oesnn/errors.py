@@ -30,7 +30,8 @@ class ConfigError(ValueError):
 
 
 class SimulationError(RuntimeError):
-    """Fatal condition inside a simulation run (overflow, non-finite state)."""
+    """A run that cannot finish or be written: an exceeded event budget, a faulting memory write,
+    or figures out of float range."""
 
     def __init__(self, message, trace_tail=()):
         self.trace_tail = list(trace_tail)

@@ -53,19 +53,14 @@ class LoopMemory:
 class AnalogMemory:
     """Weight as a real value in [0, 1] with noisy, endurance-limited writes."""
 
-    value: float = 0.5
-    write_noise_std: float = 0.0
-    endurance: float = math.inf  # lifetime write budget
+    value: float = bounded(0.5, ge=0, le=1)
+    write_noise_std: float = bounded(0.0, ge=0)
+    endurance: float = bounded(math.inf, gt=0)  # lifetime write budget
     write_count: int = 0
     degraded: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise DomainError(f"analog weight must lie in [0, 1], got {self.value}")
-        if self.write_noise_std < 0:
-            raise DomainError("write_noise_std must be non-negative")
-        if self.endurance <= 0:
-            raise DomainError("endurance must be positive")
+        check_bounds(self)
 
     @property
     def weight(self) -> float:

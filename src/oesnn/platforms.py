@@ -112,6 +112,13 @@ def wall_power(cold, profile: PlatformProfile) -> Quantity:
     return Quantity(value * profile.specific_power, dim)
 
 
+def _quotient(num: float, den: float, what: str) -> float:
+    """``num / den``, the ``what``, unless the divisor underflowed to 0 or the quotient overflowed."""
+    if den == 0 or num / den == math.inf:
+        raise DomainError(f"the {what} is out of float range")
+    return num / den
+
+
 def max_average_spike_rate(power_budget, n_neurons, fanout, e_per_synapse_event) -> Quantity:
     """Spike rate a power budget supports: P / (N_neurons * fanout * E)."""
     p = si_value(power_budget, POWER, "power_budget")
@@ -120,7 +127,7 @@ def max_average_spike_rate(power_budget, n_neurons, fanout, e_per_synapse_event)
     e = si_value(e_per_synapse_event, ENERGY, "e_per_synapse_event")
     if min(p, n, k, e) <= 0:
         raise DomainError("all arguments must be positive")
-    return Quantity(p / (n * k * e), FREQUENCY)
+    return Quantity(_quotient(p, n * k * e, "spike rate"), FREQUENCY)
 
 
 def power_density_spike_limit(w_sy, e_on_chip_per_event, density_limit) -> Quantity:
@@ -190,7 +197,7 @@ def fluxon_budget(e_budget, i_c) -> float:
     current = si_value(i_c, CURRENT, "i_c")
     if e < 0 or current <= 0:
         raise DomainError("e_budget must be >= 0 and i_c > 0")
-    return e / (current * FLUX_QUANTUM.value)
+    return _quotient(e, current * FLUX_QUANTUM.value, "fluxon budget")
 
 
 @dataclass(frozen=True)

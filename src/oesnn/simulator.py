@@ -25,9 +25,11 @@ degraded flag and parameter group, see ``plasticity.MemoryColumns``), and
 STDP writes one edge at a time with scalar arithmetic on them.  Detection
 outcomes are drawn ahead in chunks and used in order.  The loop records
 events and nothing else: the spikes, per-edge counts of detections,
-suppressions, writes and fluxons, and the loop-memory levels STDP moved.
-An edge's misses are the batches of its pre neuron less its detections and
-suppressions.
+suppressions and writes, and the loop-memory levels STDP moved.  An edge's
+misses are the batches of its pre neuron less its detections and
+suppressions.  Its fluxons are its detections times the fluxons per
+detection of its final weight, plus a correction STDP adds when it moves
+that rate.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
@@ -40,6 +42,7 @@ Model conventions (everything below is exact for the event sequence):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,7 +62,7 @@ from .linkbudget import (
     source_energy_per_spike,
 )
 from .netgen import NetworkGraph
-from .plasticity import AnalogMemory, LoopMemory, MemoryColumns, StdpParams, loop_write_energy
+from .plasticity import MemoryColumns, StdpParams, loop_write_energy
 from .platforms import SUPERCONDUCTING_4K, PlatformProfile, fluxon_budget, max_average_spike_rate
 from .quantities import FLUX_QUANTUM
 from .rng import substream
@@ -163,7 +166,7 @@ class InputDrive:
 class SimConfig:
     """Everything a run needs besides the graph itself."""
 
-    duration: float = bounded(gt=0)
+    duration: float = bounded(gt=0, lt=math.inf)  # s; finite, so every event time and membrane is too
     seed: int = bounded(ge=0, lt=2**64)
     link: OpticalLink
     profile: PlatformProfile = SUPERCONDUCTING_4K
@@ -177,6 +180,18 @@ class SimConfig:
 
     def __post_init__(self):
         check_bounds(self)
+        try:
+            self.max_fluxons()
+        except DomainError as exc:
+            raise DomainError(f"link.n_ph, link.eta and energy.i_c: {exc}; set energy.max_fluxons") from None
+
+    def max_fluxons(self) -> float:
+        """Fluxons a detection emits at weight 1: ``energy.max_fluxons``, else the floor of the optical budget."""
+        if self.profile.kind != "superconducting":
+            return 0.0
+        if self.energy.max_fluxons is not None:
+            return float(self.energy.max_fluxons)
+        return float(int(fluxon_budget(source_energy_per_spike(self.link).value, self.energy.i_c)))
 
 
 @dataclass
@@ -289,40 +304,29 @@ class SynapseReport:
         }
 
 
-def _initial_memory(ov: dict, defaults: SynapseDefaults) -> tuple[tuple[int, float, float], int, float]:
-    """Parameter group, level (-1 for analog) and weight of a synapse's memory: its overrides over the defaults.
-
-    The memory cell records check the values.
-    """
-    weight = ov.get("weight", defaults.weight)
-    if ov.get("memory_kind", defaults.memory_kind) == "loop":
-        bits = int(ov.get("bits", defaults.bits))
-        level = ov.get("level")
-        if level is None:
-            level = round(weight * (2**bits - 1))
-        cell = LoopMemory(level=int(level), bits=bits)
-        return (cell.max_level, 0.0, math.inf), cell.level, cell.weight
-    cell = AnalogMemory(
-        value=float(weight),
-        write_noise_std=ov.get("write_noise_std", defaults.write_noise_std),
-        endurance=ov.get("endurance", defaults.endurance),
-    )
-    return (0, cell.write_noise_std, cell.endurance), -1, cell.value
+def _initial_memory(syn: SynapseDefaults, level: int | None) -> tuple[tuple[int, float, float], int, float]:
+    """Parameter group, level (-1 for analog) and weight of a synapse's memory; loop memory takes ``level`` if given."""
+    if syn.memory_kind == "loop":
+        max_level = 2**syn.bits - 1
+        level = round(syn.weight * max_level) if level is None else int(level)
+        if not 0 <= level <= max_level:
+            raise DomainError(f"level must lie in [0, {max_level}], got {level}")
+        return (max_level, 0.0, math.inf), level, level / max_level
+    return (0, syn.write_noise_std, syn.endurance), -1, float(syn.weight)
 
 
-def _fluxons(level: int, weight: float, max_fluxons: float) -> int:
-    """Fluxons one detection emits on an edge: its weight's share of ``max_fluxons``, for loop memory only."""
-    return round(weight * max_fluxons) if level >= 0 else 0
+def _fluxon_rate(level, weight, max_fluxons: float):
+    """Fluxons a detection emits: the weight's share of ``max_fluxons`` for loop memory (level >= 0), as float64."""
+    return np.rint(weight * max_fluxons) * (level >= 0)
 
 
 @dataclass(eq=False)
 class _Compiled:
     """One run's per-edge arrays, link constants, and the event counts the loop fills.
 
-    ``increment`` (sign times weight) and ``fluxons`` (fluxons per
-    detection, see :func:`_fluxons`) follow ``memory``: they are set at
-    compile time and again whenever STDP writes an edge.  Fluxon numbers
-    are whole values kept as float64, so no budget overflows them.
+    ``increment`` (sign times weight) follows ``memory``: STDP sets it
+    again whenever it writes an edge.  ``fluxon_correction`` is what each
+    edge's fluxons differ from its detections at its final rate.
     """
 
     graph: NetworkGraph
@@ -332,7 +336,6 @@ class _Compiled:
     memory: MemoryColumns
     sign: np.ndarray
     increment: np.ndarray
-    fluxons: np.ndarray
     max_fluxons: float  # fluxons per detection at weight 1; 0 off superconducting platforms
     fluxon_energy: float
     forced_t: list[float]  # drive spikes in (time, drive, position) order
@@ -346,57 +349,41 @@ class _Compiled:
     det_count: np.ndarray
     sup_count: np.ndarray
     write_count: np.ndarray
-    fluxon_count: np.ndarray
+    fluxon_correction: np.ndarray  # float64 whole values
     spikes: SpikeRecord
     levels_moved: int = 0  # loop-memory levels STDP moved, over all writes
 
 
 def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     """Per-edge arrays, link constants, the forced-spike schedule and zeroed event counts."""
-    if graph.n == 0:
-        raise DomainError("graph must contain at least one neuron")
-    n = graph.n
     n_edges = graph.edge_count
     link = config.link
     is_snspd = isinstance(link.receiver, SnspdReceiver)
 
-    e_source = source_energy_per_spike(link).value
-    max_fluxons = 0.0
-    if config.profile.kind == "superconducting":
-        max_fluxons = config.energy.max_fluxons
-        if max_fluxons is None:
-            max_fluxons = int(fluxon_budget(e_source, config.energy.i_c))
-        max_fluxons = float(max_fluxons)
-
-    # The arrays of every edge without an override are filled without a
-    # pass over the edges.
+    # The arrays of every edge without an override are filled without a pass over the edges.
     defaults = config.synapse
-    default_group, default_level, default_weight = _initial_memory({}, defaults)
+    default_group, default_level, default_weight = _initial_memory(defaults, None)
     default_sign = -1.0 if defaults.inhibitory else 1.0
     groups = {default_group: 0}
     group = np.zeros(n_edges, dtype=np.intp)
     level = np.full(n_edges, default_level, dtype=np.int64)
     weight = np.full(n_edges, default_weight)
     sign = np.full(n_edges, default_sign)
-    increment = np.full(n_edges, default_sign * default_weight)
-    fluxons = np.full(n_edges, float(_fluxons(default_level, default_weight, max_fluxons)))
     taus = [defaults.tau]
     if config.synapse_overrides:
         overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
-        overridden = 0
         for e, pair in enumerate(zip(graph.pre.tolist(), graph.post.tolist())):
             ov = overrides.get(pair)
             if ov is not None:
-                overridden += 1
-                taus.append(ov.get("tau", defaults.tau))
-                if not taus[-1] > 0:
-                    raise DomainError(f"synapse {e} tau must be positive")
-                sign[e] = -1.0 if ov.get("inhibitory", defaults.inhibitory) else 1.0
-                key, level[e], weight[e] = _initial_memory(ov, defaults)
+                try:  # the record's bounds check the overrides, in edge order
+                    syn = dataclasses.replace(defaults, **{k: v for k, v in ov.items() if k != "level"})
+                    key, level[e], weight[e] = _initial_memory(syn, ov.get("level"))
+                except (DomainError, TypeError) as exc:  # a bound, or an unknown key or a bad type
+                    raise DomainError(f"synapse {e} {exc}") from None
+                taus.append(syn.tau)
+                sign[e] = -1.0 if syn.inhibitory else 1.0
                 group[e] = groups.setdefault(key, len(groups))
-                increment[e] = sign[e] * weight[e]
-                fluxons[e] = _fluxons(level[e], weight[e], max_fluxons)
-        if 0 < overridden == n_edges:  # no edge keeps the default
+        if 1 < len(taus) == n_edges + 1:  # every edge is overridden: none keeps the default
             del taus[0]
     tau_soma = config.neuron.tau_soma
     if tau_soma is None:
@@ -404,7 +391,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
 
     times, neurons = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for i, drive in enumerate(config.inputs):
-        if not 0 <= drive.neuron < n:
+        if not 0 <= drive.neuron < graph.n:
             raise DomainError(f"input drive references unknown neuron {drive.neuron}")
         times.append(drive.schedule(config.duration, substream(config.seed, "input", i), config.max_events))
         neurons.append(np.full(times[-1].size, drive.neuron, dtype=np.int64))
@@ -428,13 +415,12 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
             groups=list(groups),
         ),
         sign=sign,
-        increment=increment,
-        fluxons=fluxons,
-        max_fluxons=max_fluxons,
+        increment=sign * weight,
+        max_fluxons=config.max_fluxons(),
         fluxon_energy=config.energy.i_c * FLUX_QUANTUM.value,
         forced_t=times[order].tolist(),
         forced_v=neurons[order].tolist(),
-        e_source=e_source,
+        e_source=source_energy_per_spike(link).value,
         p_detect=link_detection_probability(link),
         poisson_need=poisson_need,
         dead_time=link.receiver.reset_time if is_snspd else 0.0,
@@ -443,7 +429,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         det_count=np.zeros(n_edges, dtype=np.int64),
         sup_count=np.zeros(n_edges, dtype=np.int64),
         write_count=np.zeros(n_edges, dtype=np.int64),
-        fluxon_count=np.zeros(n_edges),
+        fluxon_correction=np.zeros(n_edges),
         spikes=SpikeRecord(),
     )
 
@@ -459,6 +445,9 @@ def _loop(c: _Compiled) -> None:
     spike record, where each spike of a neuron with out-edges is one batch
     of arrivals one transmit delay later.  The delay is uniform, so the
     batches come in time order; at equal times the forced spikes go first.
+
+    A batch is only counted, and no membrane is checked: event times are at most the finite
+    duration, so each decay lies in [0, 1], each increment in [-1, 1], and no membrane leaves float range.
     """
     config = c.config
     link = config.link
@@ -467,9 +456,9 @@ def _loop(c: _Compiled) -> None:
     rng_noise = substream(config.seed, "stdp-noise")
     n, n_edges, post = c.graph.n, c.graph.edge_count, c.graph.post
     out_edges, in_edges, memory = c.out_edges, c.in_edges, c.memory
-    sign, increment, fluxons = c.sign, c.increment, c.fluxons
+    sign, increment = c.sign, c.increment
     membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
-    det_count, sup_count, write_count, fluxon_count = c.det_count, c.sup_count, c.write_count, c.fluxon_count
+    det_count, sup_count, write_count = c.det_count, c.sup_count, c.write_count
     neurons, times = c.spikes.neurons, c.spikes.times
     dead_time, max_fluxons = c.dead_time, c.max_fluxons
     # Only a dead time reads the last detection, and only STDP the last arrival.
@@ -508,6 +497,7 @@ def _loop(c: _Compiled) -> None:
 
     def stdp_write(e: int, pre_t: float, post_t: float) -> None:
         """Apply the STDP pairing of edge ``e`` to its memory and count the write."""
+        old_weight = memory.weight[e]
         try:
             applied = memory.write(e, pre_t, post_t, plasticity, rng_noise)
         except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
@@ -519,7 +509,9 @@ def _loop(c: _Compiled) -> None:
         increment[e] = sign[e] * weight
         if level >= 0:
             c.levels_moved += abs(int(applied))
-            fluxons[e] = _fluxons(level, weight, max_fluxons)
+            if max_fluxons:  # the detections so far emitted the old rate; _report prices them at the final one
+                old, new = _fluxon_rate(level, old_weight, max_fluxons), _fluxon_rate(level, weight, max_fluxons)
+                c.fluxon_correction[e] += det_count[e] * (old - new)
 
     def detected(k: int) -> np.ndarray:
         """The next ``k`` detection outcomes of the stream."""
@@ -560,18 +552,12 @@ def _loop(c: _Compiled) -> None:
         det_count[edges] += 1
         if dead_time:
             last_detection[edges] = t
-        if max_fluxons:
-            fluxon_count[edges] += fluxons[edges]
         # math.exp, not np.exp: the two can differ in the last bit.
         exponents = ((membrane_t[posts] - t) / tau_soma).tolist()
         decay = np.fromiter(map(math.exp, exponents), dtype=np.float64, count=len(exponents))
         values = membrane[posts] * decay + increment[edges]
         membrane[posts] = values
         membrane_t[posts] = t
-        finite = np.isfinite(values)
-        if np.count_nonzero(finite) < finite.size:
-            v = int(posts[~finite][0])
-            raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", tail())
         above = values >= threshold
         if plasticity is None:
             for v in posts[above].tolist():
@@ -665,20 +651,22 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
         memory_update = loop_write_energy(c.levels_moved, config.energy.i_c)
     else:
         memory_update = counters.stdp_writes * write_energy
+    # Each edge's detections priced at its final rate, corrected by what STDP moved it from.
+    fluxons = c.det_count * _fluxon_rate(c.memory.level, c.memory.weight, c.max_fluxons) + c.fluxon_correction
     static_leakage = 0.0
     if isinstance(config.link.receiver, ReceiverlessPhotodiode):  # the bias leaks over the whole run
         static_leakage = graph.edge_count * photodiode_static_power(config.link.receiver).value * config.duration
     ledger = EnergyLedger(
         source_optical=counters.transmissions * c.e_source,
         detector_reset=counters.detections * c.e_reset,
-        fluxon=float(c.fluxon_count.sum()) * c.fluxon_energy,
+        fluxon=float(fluxons.sum()) * c.fluxon_energy,
         memory_update=memory_update,
         soma_overhead=counters.spikes * config.energy.per_spike_overhead,
         static_leakage=static_leakage,
         counters=counters,
         per_neuron_source=sent * c.e_source,
         per_neuron_receiver=np.bincount(graph.post, weights=c.det_count, minlength=n) * c.e_reset
-        + np.bincount(graph.post, weights=c.fluxon_count, minlength=n) * c.fluxon_energy,
+        + np.bincount(graph.post, weights=fluxons, minlength=n) * c.fluxon_energy,
     )
     return spikes, ledger, report
 

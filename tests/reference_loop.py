@@ -8,10 +8,12 @@ forced spikes and arrivals merged in time order through a queue, each
 arrival on its own, in edge order, with scalar draws from the detection
 stream, on one scalar memory cell per edge that ``apply_stdp`` replaces,
 with each edge's misses counted as they happen, and with live counters and
-an energy ledger that adds each event's energy as it happens.  It runs over
-the record ``simulator._compile`` builds and fills the same event counts,
-writes its final cells back into the memory columns, and is closed by
-``simulator._report``, so the priced ledger can be checked against the
+an energy ledger that adds each event's energy as it happens, fluxons at
+each edge's rate of the time.  It runs over the record
+``simulator._compile`` builds and fills the same event counts, writes its
+final cells back into the memory columns, and is closed by
+``simulator._report``, whose spikes and synapse report it returns with its
+own ledger, so the priced ledger of ``run()`` can be checked against the
 per-event one.
 """
 
@@ -166,7 +168,6 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
             ledger.detector_reset += c.e_reset
             per_neuron_receiver[v] += c.e_reset
         if rates[e]:
-            c.fluxon_count[e] += rates[e]
             ledger.fluxon += rates[e] * c.fluxon_energy
             per_neuron_receiver[v] += rates[e] * c.fluxon_energy
         pulse = increment[e]
@@ -180,8 +181,6 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
             membrane[v] *= math.exp(-dt / c.tau_soma)
             membrane_t[v] = t
         membrane[v] += pulse
-        if not math.isfinite(membrane[v]):
-            raise SimulationError(f"membrane of neuron {v} became non-finite at t={t}", trace)
         if membrane[v] >= neuron.threshold and t - last_spike[v] >= neuron.refractory:
             fire(v, t, forced=False)
 

@@ -99,6 +99,19 @@ class TestCalc:
         assert code == 2 and out == ""
         assert f"{flag} expects a finite number" in err
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (("fluxons", "--ic", "1e-310"), "fluxon budget"),  # I_c * Phi_0 underflows to 0
+            (("fluxons", "--ebudget", "1e300", "--ic", "1e-10"), "fluxon budget"),  # the quotient overflows
+            (("max-rate", "--n", "1e-300", "--e", "1e-300", "--budget", "1e300"), "spike rate"),
+        ],
+    )
+    def test_quotient_out_of_float_range_usage_error(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, "calc", *argv)
+        assert code == 2 and out == ""
+        assert f"the {what} is out of float range" in err
+
 
 # calc parameter -> record field, for the formulas whose defaults are a record's.
 _PHOTODIODE_PARAMS = {"ctot": "c_tot", "v": "v_swing", "vbias": "v_bias", "ileak": "i_leak"}
@@ -383,6 +396,39 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
         assert code == 3
         assert "bits" in err
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"energy": {"i_c": 1e-310}},  # I_c * Phi_0 underflows to 0
+            {"link": {"n_ph": 1e300, "eta": 1e-10}},  # the fluxon budget overflows
+        ],
+        ids=["i_c", "n_ph"],
+    )
+    def test_fluxon_budget_out_of_float_range_exit_code_three(self, capsys, tmp_path, patch):
+        doc = load_scenario("two-synapse-coincidence")
+        for section, values in patch.items():
+            doc[section] = {**doc.get(section, {}), **values}
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "scenario: link.n_ph, link.eta and energy.i_c: the fluxon budget is out of float range" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+        doc["energy"] = {**doc.get("energy", {}), "max_fluxons": 10}  # a budget given outright needs no quotient
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))[0] == 0
+
+    def test_figures_out_of_float_range_exit_code_four(self, capsys, tmp_path):
+        doc = load_scenario("two-synapse-coincidence")
+        doc["energy"] = {"per_spike_overhead": 1e308}  # three spikes: the soma overhead overflows
+        path = tmp_path / "overhead.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == 4
+        assert "simulation error: the run's energy or power figures leave float range" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # no ledger.json with Infinity in it, and no spikes.csv
 
     def test_record_section_exit_code_three(self, capsys, tmp_path):
         doc = load_scenario("two-synapse-coincidence")

@@ -535,6 +535,22 @@ class TestGuards:
         with pytest.raises(DomainError, match="synapse 0 tau"):
             run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): bad_tau, (1, 2): bad_noise}))
 
+    @pytest.mark.parametrize(
+        "override, problem",
+        [
+            ({"delay": 1e-9}, "synapse 1 SynapseDefaults.__init__() got an unexpected keyword argument 'delay'"),
+            ({"memory_kind": "flash"}, "synapse 1 memory_kind: must be 'analog' or 'loop', got 'flash'"),
+            ({"memory_kind": "loop", "bits": 2, "level": 4}, "synapse 1 level must lie in [0, 3], got 4"),
+            ({"memory_kind": "loop", "level": -1}, "synapse 1 level must lie in [0, 1023], got -1"),
+        ],
+    )
+    def test_override_errors_name_the_synapse(self, override, problem):
+        # Each override replaces fields of the synapse defaults, so the record checks it.
+        config = SimConfig(duration=1e-3, seed=16, link=snspd_link(), synapse_overrides={(1, 2): override})
+        with pytest.raises(DomainError) as err:
+            run(two_input_graph(), config)
+        assert str(err.value) == problem
+
     def test_bits_bounded(self):
         with pytest.raises(DomainError, match="bits"):
             SynapseDefaults(bits=11)
@@ -551,6 +567,7 @@ class TestGuards:
             (lambda: InputDrive(neuron=0, times=(1e-6, -1.0)), "times: must be >= 0, got -1.0"),
             (lambda: SimConfig(duration=1e-3, seed=2**64, link=snspd_link()), "seed: must be < 18446744073709551616"),
             (lambda: SimConfig(duration=1e-3, seed=-1, link=snspd_link()), "seed: must be >= 0, got -1"),
+            (lambda: SimConfig(duration=math.inf, seed=1, link=snspd_link()), "duration: must be < inf, got inf"),
         ]:
             with pytest.raises(DomainError) as err:
                 make()
