@@ -499,6 +499,8 @@ def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.budget is not None and not 0 < args.budget < math.inf:
+        raise UsageError(f"--budget must be a finite positive power in watts, got {args.budget}")
     doc = load_scenario(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -513,7 +515,7 @@ def cmd_simulate(args) -> int:
         n_synapses=graph.edge_count,
         n_neurons=graph.n,
         budget=args.budget,
-        fanout=graph.edge_count / graph.n if graph.n else None,
+        fanout=graph.edge_count / graph.n,
     )
     doc_out = {
         "scenario": doc.get("name", args.config),

@@ -49,7 +49,7 @@ _TOP_KEYS |= _RECORDS.keys()
 class _Network:
     """Declares the scalar keys of ``network`` (``n`` only) and of ``network.er``."""
 
-    n: int = bounded(ge=1)
+    n: int = bounded(ge=1, le=2**31)  # so that pair keys pre * n + post, and an ER draw's pair indices, fit in int64
     mean_degree: float = bounded(gt=0)
 
 

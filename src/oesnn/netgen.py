@@ -94,7 +94,7 @@ class NetworkGraph:
         return [order[bounds[i] : bounds[i + 1]] for i in range(self.n)]
 
     def mean_degree(self) -> float:
-        return 2.0 * len(self.undirected_edges()) / self.n if self.n else 0.0
+        return 2.0 * len(self.undirected_edges()) / self.n
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ def generate_er(n: int, mean_degree: float, seed: int) -> NetworkGraph:
         raise DomainError(f"mean_degree must lie in (0, n-1], got {mean_degree}")
     p = mean_degree / (n - 1)
     n_pairs = n * (n - 1) // 2
+    if n_pairs > np.iinfo(np.int64).max:
+        raise DomainError("n must be at most 2**32, so that its n(n-1)/2 node pairs fit in int64")
     rng = substream(seed, "er-edges")
     expected = n_pairs * p
     chunk = int(expected + 6 * np.sqrt(expected) + 16)
@@ -152,8 +154,8 @@ def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None
     one gather over the adjacency, one OR-reduction per node and a mask
     against the visited words.
     """
-    if graph.n == 0 or graph.edge_count == 0:
-        raise DomainError("path statistics need a non-empty graph with edges")
+    if graph.edge_count == 0:
+        raise DomainError("path statistics need a graph with edges")
     n = graph.n
     indptr, indices = graph.undirected_csr()
     if sample_sources is None:
@@ -223,6 +225,10 @@ def validate_path_model(
     prediction.  Disconnected realizations are reported through the
     minimum reachable fraction, never silently averaged away.
     """
+    if any(isinstance(s, float) and not s.is_integer() for s in sizes):  # nan, inf or a fraction
+        raise DomainError(f"sizes must be finite whole numbers, got {list(sizes)}")
+    if not 0 <= tolerance < np.inf:
+        raise DomainError(f"tolerance must be finite and at least 0, got {tolerance}")
     sizes = [int(s) for s in sizes]
     degrees = [float(k) for k in degrees]
     if not sizes or not degrees:

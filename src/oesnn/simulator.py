@@ -12,13 +12,14 @@ integrator that fires on threshold, resets, and honors a refractory period.
 A run compiles per-edge arrays, loops over the events, and reports.  The
 transmit delay is one constant, so arrivals come in time order: each spike
 of a neuron with out-edges is one batch of arrivals one delay later, so the
-loop merges the forced spikes, sorted by time, with a cursor over the spike
+loop merges the drives' lazy spike trains with a cursor over the spike
 record, and at equal times the forced spikes go first.  One handler takes
 every batch with array operations that reproduce, bit for bit, handling its
 arrivals one at a time in edge order, STDP writes included.  A graph holds
 each (pre, post) pair once, so a spike reaches each post neuron at most
-once.  A batch that would exceed the event budget is cut at it, and an
-STDP write that faults stops the run.
+once.  The loop alone enforces the event budget: it cuts a batch that
+would exceed it, and a train is drawn only as far as the loop reads it.
+An STDP write that faults stops the run.
 
 Synaptic memory is kept as per-edge columns (level, weight, write count,
 degraded flag and parameter group, see ``plasticity.MemoryColumns``), and
@@ -43,9 +44,13 @@ Model conventions (everything below is exact for the event sequence):
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Literal
 
 import numpy as np
@@ -132,34 +137,32 @@ class InputDrive:
         if self.count is not None and self.interval is None:
             raise DomainError("count drives need an interval")
 
-    def schedule(self, duration: float, rng, max_events: int) -> np.ndarray:
-        """The drive's spike times inside ``[0, duration]``.
+    def spikes(self, duration: float, rng) -> Iterator[float]:
+        """The drive's spike times in order, up to the first one past ``duration``.
 
-        A ``count`` or ``rate`` drive keeps at most ``max_events + 1``
-        spikes, the first ones of its train: a run that holds more is over
-        its event budget by then, and fails at the same event either way.
+        A ``rate`` train is drawn in chunks of its expected count plus six standard deviations, each chunk's
+        times its first time plus the running sum of its gaps, drawn and summed ``_DRAW_CHUNK`` gaps at a time.
         """
-        cap = max_events + 1
         if self.times is not None:
-            t = np.asarray(self.times, dtype=np.float64)
+            train = sorted(self.times)
         elif self.count is not None:
-            # Only the spikes that can fall inside the run; the mask below decides the last one.
-            count = int(max(0.0, min(self.count, (duration - self.start) / self.interval + 2, cap)))
-            t = self.start + np.arange(count, dtype=np.float64) * self.interval
+            train = (self.start + k * self.interval for k in range(self.count))
         else:
-            if self.rate == 0 or self.start > duration:
-                return np.empty(0)
-            expected = self.rate * (duration - self.start)
-            # A capped first chunk holds the first values of the uncapped one: the draws and
-            # their cumsum come out in order whatever the chunk length.
-            draws = int(min(expected + 6 * math.sqrt(expected + 1) + 16, cap))
-            gaps = rng.exponential(1.0 / self.rate, size=draws)
-            t = self.start + np.cumsum(gaps)
-            while t.size < cap and t[-1] < duration:
-                gaps = rng.exponential(1.0 / self.rate, size=draws)
-                t = np.concatenate([t, t[-1] + np.cumsum(gaps)])
-            t = t[:cap]
-        return t[(t >= 0) & (t <= duration)]
+            train = self._poisson(duration, rng) if self.rate and self.start <= duration else ()
+        return itertools.takewhile(lambda t: t <= duration, map(float, train))
+
+    def _poisson(self, duration: float, rng) -> Iterator[float]:
+        expected = self.rate * (duration - self.start)
+        draws = int(min(expected + 6 * math.sqrt(expected + 1) + 16, 2**63))  # an inf expectation too
+        first = self.start
+        while True:
+            total = 0.0
+            for done in range(0, draws, _DRAW_CHUNK):
+                gaps = rng.exponential(1.0 / self.rate, size=min(_DRAW_CHUNK, draws - done))
+                gaps[0] += total  # the sum runs on, as over [total, *gaps]
+                total = np.cumsum(gaps, out=gaps)[-1]
+                yield from (first + gaps).tolist()
+            first += total
 
 
 @dataclass(frozen=True)
@@ -322,7 +325,7 @@ def _fluxon_rate(level, weight, max_fluxons: float):
 
 @dataclass(eq=False)
 class _Compiled:
-    """One run's per-edge arrays, link constants, and the event counts the loop fills.
+    """One run's per-edge arrays, link constants, lazy forced-spike stream, and the event counts the loop fills.
 
     ``increment`` (sign times weight) follows ``memory``: STDP sets it
     again whenever it writes an edge.  ``fluxon_correction`` is what each
@@ -338,8 +341,7 @@ class _Compiled:
     increment: np.ndarray
     max_fluxons: float  # fluxons per detection at weight 1; 0 off superconducting platforms
     fluxon_energy: float
-    forced_t: list[float]  # drive spikes in (time, drive, position) order
-    forced_v: list[int]
+    forced: Iterator[tuple[float, int]]  # (time, neuron) of the drive spikes in (time, drive, position) order
     e_source: float
     p_detect: float
     poisson_need: int | None  # photons a stochastic photodiode needs; None otherwise
@@ -352,10 +354,11 @@ class _Compiled:
     fluxon_correction: np.ndarray  # float64 whole values
     spikes: SpikeRecord
     levels_moved: int = 0  # loop-memory levels STDP moved, over all writes
+    forced_spikes: int = 0  # the ones the loop has taken from ``forced``
 
 
 def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
-    """Per-edge arrays, link constants, the forced-spike schedule and zeroed event counts."""
+    """Per-edge arrays, link constants, the forced-spike stream and zeroed event counts."""
     n_edges = graph.edge_count
     link = config.link
     is_snspd = isinstance(link.receiver, SnspdReceiver)
@@ -385,18 +388,14 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
                 group[e] = groups.setdefault(key, len(groups))
         if 1 < len(taus) == n_edges + 1:  # every edge is overridden: none keeps the default
             del taus[0]
-    tau_soma = config.neuron.tau_soma
-    if tau_soma is None:
-        tau_soma = float(max(taus))
+    tau_soma = float(max(taus)) if config.neuron.tau_soma is None else config.neuron.tau_soma
 
-    times, neurons = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    trains = []
     for i, drive in enumerate(config.inputs):
         if not 0 <= drive.neuron < graph.n:
             raise DomainError(f"input drive references unknown neuron {drive.neuron}")
-        times.append(drive.schedule(config.duration, substream(config.seed, "input", i), config.max_events))
-        neurons.append(np.full(times[-1].size, drive.neuron, dtype=np.int64))
-    times, neurons = np.concatenate(times), np.concatenate(neurons)
-    order = np.argsort(times, kind="stable")
+        train = drive.spikes(config.duration, substream(config.seed, "input", i))
+        trains.append(zip(train, itertools.repeat(drive.neuron)))
 
     poisson_need = None
     if not is_snspd and link.stochastic:
@@ -418,8 +417,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         increment=sign * weight,
         max_fluxons=config.max_fluxons(),
         fluxon_energy=config.energy.i_c * FLUX_QUANTUM.value,
-        forced_t=times[order].tolist(),
-        forced_v=neurons[order].tolist(),
+        forced=heapq.merge(*trains, key=itemgetter(0)),  # stable: at equal times, drives keep their order
         e_source=source_energy_per_spike(link).value,
         p_detect=link_detection_probability(link),
         poisson_need=poisson_need,
@@ -434,14 +432,14 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
     )
 
 
-_DRAW_CHUNK = 4096  # detection outcomes drawn ahead at a time
+_DRAW_CHUNK = 4096  # random values drawn at a time: detection outcomes, and a rate drive's gaps
 _TRACE_EVENTS = 32  # events an error reports
 
 
 def _loop(c: _Compiled) -> None:
     """Process every event up to the run's duration, in time order, and count them into ``c``.
 
-    Two sources feed the loop: the forced spikes, and a cursor over the
+    Two sources feed the loop: the forced-spike stream, and a cursor over the
     spike record, where each spike of a neuron with out-edges is one batch
     of arrivals one transmit delay later.  The delay is uniform, so the
     batches come in time order; at equal times the forced spikes go first.
@@ -468,10 +466,8 @@ def _loop(c: _Compiled) -> None:
     # Nothing else reads the detect stream, and a chunked draw gives the
     # values of one long draw, so outcomes are drawn ahead and used in order.
     pool, used = np.empty(0, dtype=bool), 0
-    tau_soma = c.tau_soma
-    threshold = config.neuron.threshold
-    refractory = config.neuron.refractory
-    delay = config.neuron.transmit_delay
+    tau_soma, delay = c.tau_soma, config.neuron.transmit_delay
+    threshold, refractory = config.neuron.threshold, config.neuron.refractory
 
     # The last events: one entry per forced spike and one per batch, made
     # one entry per event only when an error reports them.
@@ -580,16 +576,18 @@ def _loop(c: _Compiled) -> None:
             tail(),
         )
 
-    forced_t, forced_v = c.forced_t, c.forced_v
-    next_forced = next_batch = processed = 0
+    t_forced, v_forced = next(c.forced, (math.inf, -1))
+    next_batch = processed = 0
     while True:
         # A spike of a neuron without out-edges is no batch.
         while next_batch < len(neurons) and not out_edges[neurons[next_batch]].size:
             next_batch += 1
         arrival = times[next_batch] + delay if next_batch < len(neurons) else math.inf
-        if next_forced < len(forced_t) and forced_t[next_forced] <= arrival:
-            t, v = forced_t[next_forced], forced_v[next_forced]
-            next_forced += 1
+        # Every forced spike lies within the run; the spent stream's inf does not.
+        if t_forced <= arrival and t_forced <= config.duration:
+            t, v = t_forced, v_forced
+            t_forced, v_forced = next(c.forced, (math.inf, -1))
+            c.forced_spikes += 1
             processed += 1
             if processed > config.max_events:
                 raise over_budget()
@@ -639,7 +637,7 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
     )
     counters = Counters(
         spikes=len(spikes),
-        forced_spikes=len(c.forced_t),
+        forced_spikes=c.forced_spikes,
         transmissions=int(sent.sum()),
         detections=int(c.det_count.sum()),
         misses=int(report.misses.sum()),

@@ -193,12 +193,12 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
                 trace,
             )
 
-    next_forced = 0
+    t_forced, v_forced = next(c.forced, (math.inf, None))
     processed = 0
     while True:
-        if next_forced < len(c.forced_t) and (not queue or c.forced_t[next_forced] <= queue[0][0]):
-            t, v = c.forced_t[next_forced], c.forced_v[next_forced]
-            next_forced += 1
+        if v_forced is not None and (not queue or t_forced <= queue[0][0]):
+            t, v = t_forced, v_forced
+            t_forced, v_forced = next(c.forced, (math.inf, None))
             count_event()
             trace.append((t, "forced", v))
             fire(v, t, forced=True)

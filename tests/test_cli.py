@@ -490,7 +490,7 @@ class TestSimulate:
         assert not (tmp_path / "ledger.json").exists()
 
     def test_count_input_beyond_duration_keeps_bytes(self, capsys, tmp_path):
-        # A count far beyond the run schedules only the spikes inside it.
+        # A count train far beyond the run stops at its first spike past it.
         doc = load_scenario("ledger-fanout")
         doc["duration"] = 1e-6
         outputs = []
@@ -524,6 +524,16 @@ class TestSimulate:
         assert code == 4
         assert "event budget exceeded (1000 events)" in err
         assert not (tmp_path / "ledger.json").exists()
+
+    @pytest.mark.parametrize("budget", ["0", "nan", "inf", "-1"])
+    def test_bad_budget_usage_error(self, capsys, tmp_path, budget):
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", "two-synapse-coincidence", "--out", str(out), "--budget", budget
+        )
+        assert code == 2
+        assert "usage error: --budget must be a finite positive power in watts" in err
+        assert "Traceback" not in err and not (out / "spikes.csv").exists()
 
     def test_rate_input_starting_after_duration_draws_no_spikes(self, capsys, tmp_path):
         doc = load_scenario("poisson-link")
@@ -560,6 +570,26 @@ class TestValidateEq6:
         assert code == 0
         ds = read_csv(tmp_path / "path-model-validation.csv")
         assert ds.provenance["parameters"]["sample_sources"] == 50
+
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [
+            ("--n", "nan", "sizes must be finite whole numbers"),
+            ("--n", "inf", "sizes must be finite whole numbers"),
+            ("--n", "2.5", "sizes must be finite whole numbers"),
+            ("--n", "1e300", "n must be at most 2**32, so that its n(n-1)/2 node pairs fit in int64"),
+            ("--n", "4294967297", "n must be at most 2**32"),
+            ("--tolerance", "nan", "tolerance must be finite and at least 0"),
+            ("--tolerance", "-0.1", "tolerance must be finite and at least 0"),
+            ("--tolerance", "inf", "tolerance must be finite and at least 0"),
+        ],
+    )
+    def test_bad_size_or_tolerance_usage_error(self, capsys, tmp_path, flag, value, problem):
+        argv = {"--n": "100", "--k": "4", "--seeds": "1", "--out": str(tmp_path), flag: value}
+        code, _, err = run_cli(capsys, "validate-eq6", *[a for pair in argv.items() for a in pair])
+        assert code == 2
+        assert f"usage error: {problem}" in err
+        assert "Traceback" not in err and not (tmp_path / "path-model-validation.csv").exists()
 
 
 class TestMembench:

@@ -2,14 +2,16 @@ import copy
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oesnn import cli
 from oesnn.cli import main
 from oesnn.config import build_scenario, bundled_scenario_names, load_scenario, validate_scenario
-from oesnn.errors import ConfigError
+from oesnn.errors import ConfigError, SimulationError
 from oesnn.linkbudget import SnspdReceiver
 from oesnn.membench import MemoryTechSpec, load_technologies
 from oesnn.simulator import run
@@ -138,6 +140,18 @@ class TestValidation:
         doc = minimal_doc()
         doc["network"] = {"er": {"n": 10, "mean_degree": 9.5}}
         assert validate_scenario(doc) == ["network.er.mean_degree: must be at most n - 1"]
+
+    @pytest.mark.parametrize("network", ["edges", "er"])
+    def test_node_count_within_int64_pair_keys(self, tmp_path, network):
+        # A larger n once validated and then overflowed in NetworkGraph (edges) or generate_er (er).
+        doc = minimal_doc()
+        if network == "er":
+            doc["network"] = {"er": {"n": 1e30, "mean_degree": 4}}
+        else:
+            doc["network"]["n"] = 1e30
+        where = "network.er" if network == "er" else "network"
+        assert validate_scenario(doc) == [f"{where}.n: must be <= 2147483648, got 1e+30"]
+        assert simulate_exit_code(doc, tmp_path) == 3
 
     def test_cross_field_violation_reported_as_config_error(self):
         doc = minimal_doc()
@@ -309,12 +323,20 @@ def _objects(node, path=()):
             yield from _objects(value, path + (i,))
 
 
+def _scalars(node, path=()):
+    """Paths of every number, string, boolean and null in a document."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _scalars(value, path + (key,))
+    else:
+        yield path
+
+
 _BASES = [load_scenario(name) for name in bundled_scenario_names()] + [minimal_doc()]
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_fuzz_documents_build_or_raise_config_error(data):
+def _mutated(data) -> dict:
+    """A bundled or minimal document with one key set to a drawn value, anywhere in the tree."""
     doc = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
     path = data.draw(st.sampled_from(list(_objects(doc))))
     target = doc
@@ -322,9 +344,14 @@ def test_fuzz_documents_build_or_raise_config_error(data):
         target = target[step]
     keys = st.sampled_from(_KEYS)
     key = data.draw(st.sampled_from(sorted(target)) | keys if target else keys)
-    value = copy.deepcopy(data.draw(st.sampled_from(_POOL)))
-    assume(not (value == 1e30 and key in ("n", "mean_degree")))  # keep valid graphs small
-    target[key] = value
+    target[key] = copy.deepcopy(data.draw(st.sampled_from(_POOL)))
+    return doc
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_documents_build_or_raise_config_error(data):
+    doc = _mutated(data)
     problems = validate_scenario(doc)
     try:
         build_scenario(doc)
@@ -332,6 +359,46 @@ def test_fuzz_documents_build_or_raise_config_error(data):
         assert exc.problems == problems and problems
     else:
         assert problems == []
+
+
+def _values_mutated(data) -> dict:
+    """A bundled or minimal document with one to three of its values replaced; more of these build."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *path, key = data.draw(st.sampled_from(list(_scalars(doc))))
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = data.draw(st.sampled_from(_POOL + [1, 2, 1e-9, 1e-6, 1e3]))
+    return doc
+
+
+def _small_budget(doc):
+    """``build_scenario`` with an event budget that keeps every run short."""
+    graph, config = build_scenario(doc)
+    return graph, dataclasses.replace(config, max_events=3000)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_documents_run_or_raise_simulation_error(data):
+    mutate = data.draw(st.sampled_from([_mutated, _values_mutated]))
+    try:
+        graph, config = _small_budget(mutate(data))
+    except ConfigError:
+        return
+    try:
+        run(graph, config)
+    except SimulationError:
+        pass
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_documents_exit_zero_three_or_four(data, tmp_path_factory):
+    doc = _values_mutated(data)
+    with mock.patch.object(cli, "build_scenario", _small_budget):
+        assert simulate_exit_code(doc, tmp_path_factory.getbasetemp()) in (0, 3, 4)
 
 
 _TECH_KEYS = [f.name for f in dataclasses.fields(MemoryTechSpec)] + ["extra"]

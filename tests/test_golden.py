@@ -8,8 +8,10 @@ accounting on single-photon detectors; Poisson-threshold photodiodes,
 with STDP on noisy, endurance-limited analog memory and without; a zero
 transmit delay, so that spikes cascade within one instant; heavy detector
 dead-time suppression; deterministic photodiodes; mixed loop and analog
-edge overrides with inhibitory edges; and STDP on loop memory over
-enough synapses that the ledger's rows span several writer blocks.
+edge overrides with inhibitory edges; STDP on loop memory over
+enough synapses that the ledger's rows span several writer blocks; and a
+Poisson drive whose first chunk of gaps is drawn in several slices,
+merged with a second drive.
 
 A change that alters the bytes on purpose updates the table below from
 the digests the failing test prints, and says so.
@@ -167,6 +169,16 @@ ER_SCENARIOS = {
         "energy": {"i_c": 300e-6},
         "inputs": [{"neuron": v, "rate": 1e5} for v in range(0, 700, 25)],
     },
+    "rate-drive-slices": {
+        "name": "rate-drive-slices",
+        "seed": 5,
+        "duration": 1e-3,
+        "profile": "superconducting-4K",
+        "network": {"n": 3, "edges": [{"pre": 0, "post": 1}, {"pre": 2, "post": 1}]},
+        "link": SNSPD_LINK,
+        "neuron": NEURON,
+        "inputs": [{"neuron": 0, "rate": 1e7, "start": 1e-5}, {"neuron": 2, "rate": 1e5}],
+    },
 }
 
 # scenario -> (sha256 of spikes.csv, sha256 of ledger.json)
@@ -214,6 +226,10 @@ GOLDEN = {
     "er-loop-stdp-chunks": (
         "9f38d22c0fddde9ed115fae0b2fe7392365479c54295f675e7f858eb47193282",
         "5f773106a04c912c06c58afd1879dd550250a2ecae7babc3aa142c391ab8fa6a",
+    ),
+    "rate-drive-slices": (
+        "a3423b777f5999ca90959c4b57ac7cc84ed376eb95fc8b71dd53bb3ac70ccdb1",
+        "01774aef084a4b3b05dad01521b1a409fc5c4c4430967200e217447fd10c2309",
     ),
 }
 

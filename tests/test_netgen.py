@@ -133,6 +133,11 @@ class TestGenerateEr:
         with pytest.raises(DomainError):
             generate_er(10, 9.5, seed=0)  # p = k/(n-1) would exceed 1
 
+    def test_pair_count_beyond_int64_rejected(self):
+        # 2**32 + 1 nodes have 2**63 + 2**31 pairs; the check comes before any draw.
+        with pytest.raises(DomainError, match=r"n must be at most 2\*\*32"):
+            generate_er(2**32 + 1, 4, seed=0)
+
     def test_full_degree_is_complete_graph(self):
         g = generate_er(30, 29, seed=4)
         assert g.edge_count == 30 * 29 // 2

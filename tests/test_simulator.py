@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,16 +506,36 @@ class TestGuards:
             run(chain_graph(), config)
         assert len(err.value.trace_tail) == 32
 
+    def test_rate_train_is_one_chunked_draw(self):
+        # The chunk of about 10,500 gaps is drawn and summed in three slices; the times are those of
+        # one draw and one cumsum over it, and the chunk ends past the run.
+        drive = InputDrive(neuron=0, rate=1e7, start=1e-5)
+        expected = 1e7 * (1e-3 - 1e-5)
+        chunk = int(expected + 6 * math.sqrt(expected + 1) + 16)
+        assert 2 * 4096 < chunk <= 3 * 4096
+        times = 1e-5 + np.cumsum(substream(3, "input", 0).exponential(1e-7, size=chunk))
+        assert times[-1] > 1e-3
+        assert list(drive.spikes(1e-3, substream(3, "input", 0))) == times[times <= 1e-3].tolist()
+
     @pytest.mark.parametrize(
-        "drive",
-        [InputDrive(neuron=0, count=5000, interval=1e-7), InputDrive(neuron=0, rate=1e7, start=1e-5)],
-        ids=["count", "rate"],
+        "drive, duration",
+        [
+            (InputDrive(neuron=0, count=10**12, interval=1e-15), 1e-3),
+            (InputDrive(neuron=0, rate=1e30), 1e-3),
+            (InputDrive(neuron=0, rate=1e300), 1e10),  # an expected count out of float range
+        ],
+        ids=["count", "rate", "rate-inf-expected"],
     )
-    def test_capped_schedule_is_a_prefix(self, drive):
-        full = drive.schedule(1e-3, substream(3, "input", 0), 10**7)
-        assert full.size > 1001
-        capped = drive.schedule(1e-3, substream(3, "input", 0), 1000)
-        assert np.array_equal(capped, full[:1001])
+    def test_huge_drive_is_drawn_lazily(self, drive, duration):
+        rng = substream(3, "input", 0)
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(drive.spikes(duration, rng), 1001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 1001 and first == sorted(first) and first[-1] <= duration
+        assert peak < 2**20
 
     def test_unknown_input_neuron(self):
         config = SimConfig(
