@@ -233,7 +233,7 @@ def _kind(doc: dict, where: str, kinds: dict, problems: list):
     return None
 
 
-def _network(net, default_bits: int | None, problems: list) -> tuple[dict, dict]:
+def _network(net, synapse: SynapseDefaults | None, problems: list) -> tuple[dict, dict]:
     """``network``: its checked keys, with the edge list as (pre, post) pairs, and the edge overrides."""
     if not isinstance(net, dict):
         problems.append("scenario.network: required object is missing")
@@ -272,9 +272,12 @@ def _network(net, default_bits: int | None, problems: list) -> tuple[dict, dict]
             j = first_index.setdefault((pre, post), i)
             if j != i:
                 problems.append(f"{where}: duplicate edge {pre}->{post}, first at edges[{j}]")
-        # Bits the edge rejected, or a synapse default it rejected, leave the level unchecked.
-        bits = default_bits if edge.get("bits") is None else values.get("bits")
-        if "level" in values and bits is not None and values["level"] >= 2**bits:
+        # A kind or bits the edge rejected, or a synapse default it rejected, leave the level unchecked.
+        kind = synapse and synapse.memory_kind if edge.get("memory_kind") is None else values.get("memory_kind")
+        bits = synapse and synapse.bits if edge.get("bits") is None else values.get("bits")
+        if "level" in values and kind == "analog":
+            problems.append(f"{where}.level: only loop memory takes a level")
+        elif "level" in values and bits is not None and values["level"] >= 2**bits:
             problems.append(f"{where}.level: {values['level']} exceeds the {bits}-bit range")
         pairs.append((pre, post))
         if values:
@@ -298,8 +301,7 @@ def _read(doc) -> tuple[list[str], dict | None, SimConfig | None]:
         parts["profile"] = PROFILES[profile]
     for key, cls in _RECORDS.items():
         parts[key] = _record(cls, _object(doc.get(key), f"scenario.{key}", problems), key, problems)
-    default_bits = parts["synapse"].bits if parts["synapse"] else None
-    network, parts["synapse_overrides"] = _network(doc.get("network"), default_bits, problems)
+    network, parts["synapse_overrides"] = _network(doc.get("network"), parts["synapse"], problems)
     link = _object(doc.get("link"), "scenario.link", problems)
     receivers = {"snspd": SnspdReceiver, "photodiode": ReceiverlessPhotodiode}
     receiver_doc = _object(link.get("receiver"), "link.receiver", problems)

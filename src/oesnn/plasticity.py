@@ -1,73 +1,25 @@
-"""Synaptic memory cells and the pair-based weight update rule.
+"""Synaptic memory of every edge, and the pair-based weight update rule.
 
-Two cell families: ``LoopMemory`` stores the weight as an integer level in
-a persistent-current loop (quantized, effectively unlimited endurance) and
-``AnalogMemory`` stores a real weight in [0, 1] with write noise and a
-finite endurance budget.  The update rule is classic pair-based
-exponential timing-dependent plasticity; the rule itself is an artifact
-choice, the loop quantization is not.  ``MemoryColumns`` holds one cell
-per edge of a network as arrays, and writes them as ``apply_stdp`` writes
-a cell.
+``MemoryColumns`` holds one memory cell per edge of a network as arrays
+and writes them in place.  Loop memory stores the weight as an integer
+level in a persistent-current loop, with effectively unlimited endurance:
+a write moves whole levels within [0, max_level].  Analog memory stores a
+real weight in [0, 1]: a write adds noise, is clamped to [0, 1] and wears
+the cell, until its endurance runs out.  The update rule is classic
+pair-based exponential timing-dependent plasticity; the rule itself is an
+artifact choice, the loop quantization is not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import DomainError, bounded, check_bounds
-from .quantities import CURRENT, DIMENSIONLESS, FLUX_QUANTUM, si_value
-
-
-@dataclass(frozen=True)
-class LoopMemory:
-    """Weight as a fluxon-quantized level in [0, 2**bits)."""
-
-    level: int = 0
-    bits: int = 10
-    write_count: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.bits <= 10:
-            raise DomainError(f"bits must lie in [1, 10], got {self.bits}")
-        if not 0 <= self.level < 2**self.bits:
-            raise DomainError(f"level must lie in [0, {2**self.bits}), got {self.level}")
-
-    @property
-    def max_level(self) -> int:
-        return 2**self.bits - 1
-
-    @property
-    def weight(self) -> float:
-        return self.level / self.max_level
-
-    @property
-    def degraded(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class AnalogMemory:
-    """Weight as a real value in [0, 1] with noisy, endurance-limited writes."""
-
-    value: float = bounded(0.5, ge=0, le=1)
-    write_noise_std: float = bounded(0.0, ge=0)
-    endurance: float = bounded(math.inf, gt=0)  # lifetime write budget
-    write_count: int = 0
-    degraded: bool = False
-
-    def __post_init__(self):
-        check_bounds(self)
-
-    @property
-    def weight(self) -> float:
-        return self.value
-
-
-MemoryCell = LoopMemory | AnalogMemory
+from .quantities import CURRENT, FLUX_QUANTUM, si_value
 
 
 @dataclass(frozen=True)
@@ -104,54 +56,23 @@ def stdp_delta(pre_spike: float, post_spike: float, params: StdpParams) -> float
     return -params.a_minus * math.exp(dt / params.tau_minus)
 
 
-def apply_stdp(
-    pre_spike: float,
-    post_spike: float,
-    cell: MemoryCell,
-    params: StdpParams,
-    rng: np.random.Generator | None = None,
-) -> tuple[MemoryCell, float]:
-    """Apply one pairing to a cell; returns (new cell, applied change).
-
-    Loop cells round the change to whole levels and clamp to the
-    representable range; analog cells add write noise, clamp to [0, 1],
-    and consume endurance.  The write counter moves only when a nonzero
-    change actually lands.
-    """
-    delta = stdp_delta(pre_spike, post_spike, params)
-    if isinstance(cell, LoopMemory):
-        step = round(delta)
-        new_level = min(cell.max_level, max(0, cell.level + step))
-        applied = new_level - cell.level
-        if applied == 0:
-            return cell, 0.0
-        return replace(cell, level=new_level, write_count=cell.write_count + 1), float(applied)
-    if cell.degraded:
-        return cell, 0.0
-    if cell.write_count + 1 > cell.endurance:
-        if params.on_exhaustion == "fault":
-            raise DomainError("analog memory endurance exhausted")
-        return replace(cell, degraded=True), 0.0
-    noise = 0.0
-    if cell.write_noise_std > 0:
-        if rng is None:
-            raise DomainError("write noise requires a random generator")
-        noise = cell.write_noise_std * float(rng.standard_normal())
-    new_value = min(1.0, max(0.0, cell.value + delta + noise))
-    applied = new_value - cell.value
-    if applied == 0.0 and noise == 0.0:
-        return cell, 0.0
-    return replace(cell, value=new_value, write_count=cell.write_count + 1), applied
-
-
 @dataclass(eq=False)
 class MemoryColumns:
     """The memory cells of every edge as per-edge arrays, written in place.
 
     Each distinct parameter set is kept once in ``groups`` as ``(max_level,
     write_noise_std, endurance)``, ``max_level`` 0 for analog memory, and
-    ``group`` maps every edge to one.  :meth:`write` is :func:`apply_stdp`
-    on one edge's state.
+    ``group`` maps every edge to one.  :meth:`write` applies one pairing:
+
+    - loop memory rounds the change to whole levels and clamps the level to
+      ``[0, max_level]``; a write counts only when the level moves;
+    - a degraded analog cell takes no write, and the write that would
+      exceed its endurance either degrades it (``freeze``) or raises
+      (``fault``);
+    - write noise is drawn only when its std is above 0, and the value is
+      clamped to ``[0, 1]``;
+    - an analog write counts when the value moves or noise was drawn, so a
+      clamped noisy write still wears the cell.
     """
 
     level: np.ndarray  # int64 level of loop memory; -1 for analog memory
@@ -162,7 +83,7 @@ class MemoryColumns:
     groups: list[tuple[int, float, float]]
 
     def write(self, e: int, pre_spike: float, post_spike: float, params: StdpParams, rng) -> float:
-        """Apply one pairing to edge ``e``; returns the applied change, as :func:`apply_stdp` does.
+        """Apply one pairing to edge ``e``; returns the change applied to its level or weight.
 
         A write is priced by the run's report, from the writes and levels it counts.
         """
@@ -195,20 +116,6 @@ class MemoryColumns:
         self.weight[e] = new_value
         self.writes[e] = writes + 1
         return applied
-
-
-def weight_to_fluxon_rate(cell: MemoryCell, max_fluxons) -> int:
-    """Fluxons added to the integration loop per detection at this weight.
-
-    Linear map from the stored level onto [0, max_fluxons], rounded
-    half-even.  Only meaningful for loop cells.
-    """
-    if not isinstance(cell, LoopMemory):
-        raise DomainError("fluxon rates are defined for loop memory cells only")
-    m = si_value(max_fluxons, DIMENSIONLESS, "max_fluxons")
-    if m < 0:
-        raise DomainError("max_fluxons must be non-negative")
-    return round(cell.level / cell.max_level * m)
 
 
 def loop_write_energy(applied_levels: float, i_c) -> float:

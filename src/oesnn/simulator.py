@@ -118,8 +118,8 @@ class EnergyParams:
 class InputDrive:
     """External stimulation forcing a neuron to spike.
 
-    Exactly one of ``times`` (explicit schedule), ``rate`` (Poisson), or
-    ``count``+``interval`` (uniform train) must be given.
+    Exactly one of ``times`` (explicit schedule), ``rate`` (Poisson), or ``count``+``interval``
+    (uniform train) must be given; ``start`` delays a rate or count train.
     """
 
     neuron: int = bounded(ge=0)
@@ -134,8 +134,10 @@ class InputDrive:
         modes = sum([self.times is not None, self.rate is not None, self.count is not None])
         if modes != 1:
             raise DomainError("exactly one of times / rate / count is required")
-        if self.count is not None and self.interval is None:
-            raise DomainError("count drives need an interval")
+        if (self.count is None) != (self.interval is None):
+            raise DomainError("count and interval go together")
+        if self.times is not None and self.start != 0:
+            raise DomainError("times drives take no start")
 
     def spikes(self, duration: float, rng) -> Iterator[float]:
         """The drive's spike times in order, up to the first one past ``duration``.
@@ -275,7 +277,7 @@ class SynapseReport:
     """Per-synapse counters and final memory state, plus the update-count estimate.
 
     Every per-edge value is an array: the counters are the run's, and ``memory`` holds the final
-    memory columns.  ``weights``, ``levels`` (None for analog memory) and ``degraded`` are per-edge lists.
+    memory columns.
     """
 
     pre: np.ndarray
@@ -295,10 +297,6 @@ class SynapseReport:
         values = getattr(self.memory if key in self.MEMORY_KEYS else self, key).tolist()
         return [None if v < 0 else v for v in values] if key == "level" else values
 
-    weights = property(lambda self: self.values("weight"))
-    levels = property(lambda self: self.values("level"))
-    degraded = property(lambda self: self.values("degraded"))
-
     def as_dict(self) -> dict:
         columns = [self.values(k) for k in self.KEYS]
         return {
@@ -315,6 +313,8 @@ def _initial_memory(syn: SynapseDefaults, level: int | None) -> tuple[tuple[int,
         if not 0 <= level <= max_level:
             raise DomainError(f"level must lie in [0, {max_level}], got {level}")
         return (max_level, 0.0, math.inf), level, level / max_level
+    if level is not None:
+        raise DomainError("level: only loop memory takes a level")
     return (0, syn.write_noise_std, syn.endurance), -1, float(syn.weight)
 
 

@@ -6,10 +6,10 @@ operations, writes STDP on per-edge memory columns, and only counts events:
 ledger from the counts.  This module handles the same events the plain way:
 forced spikes and arrivals merged in time order through a queue, each
 arrival on its own, in edge order, with scalar draws from the detection
-stream, on one scalar memory cell per edge that ``apply_stdp`` replaces,
-with each edge's misses counted as they happen, and with live counters and
-an energy ledger that adds each event's energy as it happens, fluxons at
-each edge's rate of the time.  It runs over the record
+stream, on one scalar memory cell per edge that ``apply_stdp`` of
+``reference_memory`` replaces, with each edge's misses counted as they
+happen, and with live counters and an energy ledger that adds each
+event's energy as it happens, fluxons at each edge's rate of the time.  It runs over the record
 ``simulator._compile`` builds and fills the same event counts, writes its
 final cells back into the memory columns, and is closed by
 ``simulator._report``, whose spikes and synapse report it returns with its
@@ -26,16 +26,10 @@ import numpy as np
 
 from oesnn.errors import SimulationError
 from oesnn.linkbudget import ReceiverlessPhotodiode, SnspdReceiver, photodiode_static_power
-from oesnn.plasticity import (
-    AnalogMemory,
-    LoopMemory,
-    MemoryCell,
-    apply_stdp,
-    loop_write_energy,
-    weight_to_fluxon_rate,
-)
+from oesnn.plasticity import loop_write_energy
 from oesnn.rng import substream
 from oesnn.simulator import EnergyLedger, SynapseDefaults, _compile, _Compiled, _report
+from reference_memory import AnalogMemory, LoopMemory, MemoryCell, apply_stdp, weight_to_fluxon_rate
 
 
 def reference_run(graph, config):

@@ -184,7 +184,7 @@ class TestBuild:
         doc["network"]["edges"][0].update({"weight": 0.25, "memory_kind": "loop", "bits": 4})
         graph, config = build_scenario(doc)
         _, _, report = run(graph, config)
-        assert report.levels[0] == round(0.25 * 15)
+        assert report.memory.level[0] == round(0.25 * 15)
 
     def test_photodiode_receiver(self):
         doc = minimal_doc()
@@ -234,6 +234,32 @@ class TestSchemaFromRecords:
             "synapse.bits: must be <= 10, got 12",
             "network.edges[0].bits: must be <= 10, got 11",
         ]
+
+    def test_level_only_on_loop_memory(self, tmp_path):
+        # An edge's own memory_kind decides, or else the synapse default's.
+        doc = minimal_doc()
+        doc["network"]["edges"][0]["level"] = 3
+        assert validate_scenario(doc) == ["network.edges[0].level: only loop memory takes a level"]
+        assert simulate_exit_code(doc, tmp_path) == 3
+        doc["synapse"] = {"memory_kind": "loop"}
+        doc["network"]["edges"][0]["memory_kind"] = "analog"
+        assert validate_scenario(doc) == ["network.edges[0].level: only loop memory takes a level"]
+        doc["network"]["edges"][0]["memory_kind"] = None
+        assert validate_scenario(doc) == []
+
+    @pytest.mark.parametrize(
+        "drive, problem",
+        [
+            ({"times": [1e-6], "start": 5e-6}, "inputs[0]: times drives take no start"),
+            ({"rate": 1e5, "interval": 1e-6}, "inputs[0]: count and interval go together"),
+            ({"times": [1e-6], "interval": 1e-6}, "inputs[0]: count and interval go together"),
+        ],
+    )
+    def test_drive_keys_of_another_mode_rejected(self, tmp_path, drive, problem):
+        doc = minimal_doc()
+        doc["inputs"] = [{"neuron": 0, **drive}]
+        assert validate_scenario(doc) == [problem]
+        assert simulate_exit_code(doc, tmp_path) == 3
 
     @pytest.mark.parametrize(
         "where, key",

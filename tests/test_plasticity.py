@@ -6,17 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oesnn.errors import DomainError
-from oesnn.plasticity import (
-    AnalogMemory,
-    LoopMemory,
-    MemoryColumns,
-    StdpParams,
-    apply_stdp,
-    loop_write_energy,
-    stdp_delta,
-    weight_to_fluxon_rate,
-)
+from oesnn.plasticity import MemoryColumns, StdpParams, loop_write_energy, stdp_delta
 from oesnn.quantities import CONSTANTS
+from reference_memory import AnalogMemory, LoopMemory, apply_stdp, weight_to_fluxon_rate
 
 PARAMS = StdpParams(a_plus=2.5, a_minus=2.5, tau_plus=1e-3, tau_minus=1e-3)
 
@@ -60,24 +52,35 @@ class TestStdpRule:
 
 
 class TestLoopUpdates:
+    """The fixed cases run on a reference cell and on the program's one-edge memory columns."""
+
     def test_clamp_at_max_level_no_write(self):
         cell = LoopMemory(level=1023, bits=10)
+        columns = _columns([cell])
         new, applied = apply_stdp(0.0, 0.0, cell, PARAMS)
         assert new.level == 1023
         assert applied == 0.0
         assert new.write_count == 0
+        assert columns.write(0, 0.0, 0.0, PARAMS, None) == 0.0
+        assert columns.level[0] == 1023 and columns.writes[0] == 0
 
     def test_clamp_at_zero(self):
         cell = LoopMemory(level=0, bits=10)
+        columns = _columns([cell])
         new, applied = apply_stdp(1e-4, 0.0, cell, PARAMS)
         assert new.level == 0 and applied == 0.0 and new.write_count == 0
+        assert columns.write(0, 1e-4, 0.0, PARAMS, None) == 0.0
+        assert columns.level[0] == 0 and columns.writes[0] == 0
 
     def test_partial_clamp_counts_one_write(self):
         cell = LoopMemory(level=1022, bits=10)
+        columns = _columns([cell])
         new, applied = apply_stdp(0.0, 0.0, cell, PARAMS)  # raw +2.5 -> +2, clamped to +1
         assert new.level == 1023
         assert applied == 1.0
         assert new.write_count == 1
+        assert columns.write(0, 0.0, 0.0, PARAMS, None) == 1.0
+        assert columns.level[0] == 1023 and columns.weight[0] == 1.0 and columns.writes[0] == 1
 
     @given(
         level=st.integers(min_value=0, max_value=1023),
@@ -90,13 +93,18 @@ class TestLoopUpdates:
 
 
 class TestAnalogUpdates:
+    """The fixed cases run on a reference cell and on the program's one-edge memory columns."""
+
     def test_noiseless_update(self):
         params = StdpParams(a_plus=0.1, a_minus=0.1)
         cell = AnalogMemory(value=0.5)
+        columns = _columns([cell])
         new, applied = apply_stdp(0.0, 0.0, cell, params)
         assert new.value == pytest.approx(0.6, rel=1e-12)
         assert applied == pytest.approx(0.1, rel=1e-12)
         assert new.write_count == 1
+        assert columns.write(0, 0.0, 0.0, params, None) == pytest.approx(0.1, rel=1e-12)
+        assert columns.weight[0] == pytest.approx(0.6, rel=1e-12) and columns.writes[0] == 1
 
     def test_noise_requires_rng(self):
         cell = AnalogMemory(value=0.5, write_noise_std=0.01)
@@ -112,6 +120,7 @@ class TestAnalogUpdates:
     def test_endurance_freeze(self):
         params = StdpParams(a_plus=0.1, a_minus=0.1, on_exhaustion="freeze")
         cell = AnalogMemory(value=0.5, endurance=1)
+        columns = _columns([cell])
         cell, _ = apply_stdp(0.0, 0.0, cell, params)
         assert cell.write_count == 1 and not cell.degraded
         cell, applied = apply_stdp(0.0, 0.0, cell, params)
@@ -119,13 +128,22 @@ class TestAnalogUpdates:
         frozen_value = cell.value
         cell, applied = apply_stdp(0.0, 0.0, cell, params)
         assert cell.value == frozen_value and applied == 0.0
+        columns.write(0, 0.0, 0.0, params, None)
+        assert columns.writes[0] == 1 and not columns.degraded[0]
+        assert columns.write(0, 0.0, 0.0, params, None) == 0.0 and columns.degraded[0]
+        assert columns.write(0, 0.0, 0.0, params, None) == 0.0
+        assert columns.weight[0] == frozen_value and columns.writes[0] == 1
 
     def test_endurance_fault(self):
         params = StdpParams(a_plus=0.1, a_minus=0.1, on_exhaustion="fault")
         cell = AnalogMemory(value=0.5, endurance=1)
+        columns = _columns([cell])
         cell, _ = apply_stdp(0.0, 0.0, cell, params)
         with pytest.raises(DomainError):
             apply_stdp(0.0, 0.0, cell, params)
+        columns.write(0, 0.0, 0.0, params, None)
+        with pytest.raises(DomainError, match="endurance exhausted"):
+            columns.write(0, 0.0, 0.0, params, None)
 
     @given(
         value=st.floats(min_value=0.0, max_value=1.0),

@@ -11,7 +11,7 @@ from oesnn.config import build_scenario
 from oesnn.errors import DomainError, SimulationError
 from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver
 from oesnn.netgen import NetworkGraph, generate_er
-from oesnn.plasticity import LoopMemory, StdpParams
+from oesnn.plasticity import StdpParams
 from oesnn.platforms import SEMICONDUCTOR_300K, SUPERCONDUCTING_4K
 from oesnn.quantities import CONSTANTS, photon_energy
 from oesnn.rng import substream
@@ -26,6 +26,7 @@ from oesnn.simulator import (
     run,
 )
 from reference_loop import _reference_loop, reference_run
+from reference_memory import LoopMemory
 from test_golden import ER_SCENARIOS
 
 
@@ -306,7 +307,7 @@ class TestLedgerExactness:
             return
         assert min(writes) > 0 and ledger.counters.stdp_writes == sum(writes)
         if write_energy is None:
-            moved = report.levels[0] - round(0.25 * 1023) + report.levels[1] - 3
+            moved = report.memory.level[0] - round(0.25 * 1023) + report.memory.level[1] - 3
             assert moved > 0 and ledger.memory_update == moved * 300e-6 * CONSTANTS.phi0
         else:
             assert ledger.memory_update == sum(writes) * 1e-15
@@ -383,7 +384,7 @@ class TestPlasticityInRun:
         )
         _, ledger, report = run(graph, config)
         start_level = round(0.6 * 1023)
-        assert report.levels[0] > start_level
+        assert report.memory.level[0] > start_level
         assert report.writes[0] > 0
         assert ledger.memory_update == pytest.approx(ledger.counters.stdp_writes * 1e-15, rel=1e-12)
 
@@ -564,6 +565,7 @@ class TestGuards:
             ({"memory_kind": "flash"}, "synapse 1 memory_kind: must be 'analog' or 'loop', got 'flash'"),
             ({"memory_kind": "loop", "bits": 2, "level": 4}, "synapse 1 level must lie in [0, 3], got 4"),
             ({"memory_kind": "loop", "level": -1}, "synapse 1 level must lie in [0, 1023], got -1"),
+            ({"level": 3}, "synapse 1 level: only loop memory takes a level"),
         ],
     )
     def test_override_errors_name_the_synapse(self, override, problem):
@@ -602,6 +604,14 @@ class TestGuards:
             InputDrive(neuron=0, times=(1e-6,), rate=1e3)
         with pytest.raises(DomainError):
             InputDrive(neuron=0, count=5)
+        for drive in [dict(rate=1e3, interval=1e-6), dict(times=(1e-6,), interval=1e-6)]:
+            with pytest.raises(DomainError, match="count and interval go together"):
+                InputDrive(neuron=0, **drive)
+        with pytest.raises(DomainError, match="times drives take no start"):
+            InputDrive(neuron=0, times=(1e-6,), start=5e-6)
+        InputDrive(neuron=0, times=(1e-6,), start=0.0)
+        InputDrive(neuron=0, rate=1e3, start=5e-6)
+        InputDrive(neuron=0, count=5, interval=1e-6, start=5e-6)
 
 
 class TestBatchedArrivals:
@@ -701,13 +711,13 @@ class TestBatchedArrivals:
 
     @pytest.mark.parametrize("case", CASES)
     def test_report_cells_match_reference_cells(self, case):
-        """The report's per-edge views equal the cells the arrival-by-arrival loop leaves."""
+        """The report's memory columns equal the cells the arrival-by-arrival loop leaves."""
         graph, config = self._case(case)
         _, _, report = run(graph, config)
         cells, _, _ = _reference_loop(_compile(graph, config))
-        assert report.weights == [cell.weight for cell in cells]
-        assert report.levels == [cell.level if isinstance(cell, LoopMemory) else None for cell in cells]
-        assert report.degraded == [cell.degraded for cell in cells]
+        assert report.memory.weight.tolist() == [cell.weight for cell in cells]
+        assert report.memory.level.tolist() == [cell.level if isinstance(cell, LoopMemory) else -1 for cell in cells]
+        assert report.memory.degraded.tolist() == [cell.degraded for cell in cells]
         assert report.memory.writes.tolist() == [cell.write_count for cell in cells]
         assert (report.memory.writes.any()) == (config.plasticity is not None)
 

@@ -1,10 +1,11 @@
-"""Checks on the benchmark harness that need no benchmark run."""
+"""Checks on the sources and the benchmark harness that need no run."""
 
 import ast
 import importlib
 from pathlib import Path
 
-WORKER = Path(__file__).parents[1] / "perfbench" / "worker.py"
+ROOT = Path(__file__).parents[1]
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def _dotted(node: ast.expr) -> str:
@@ -32,3 +33,26 @@ def test_probe_targets_exist():
         assert hasattr(owner, attr), f"{_dotted(call.args[0])}.{attr}"
         targets.add(f"{_dotted(call.args[0])}.{attr}")
     assert {"simulator.SynapseReport.as_dict", "netgen.NetworkGraph.undirected_csr"} <= targets
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads; ``__future__`` imports and names in ``__all__`` count as read."""
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(_dotted(t) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "oesnn").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in paths
+        if (names := _unused_imports(ast.parse(path.read_text("utf-8"))))
+    }
+    assert unused == {}
