@@ -2,8 +2,10 @@
 
 The generator draws exact G(n, p) graphs by geometric skip sampling, and
 the measurement side runs a bit-parallel breadth-first search, 64 sources
-per machine word, from every (or a sampled set of) source node(s).  That
-gives an empirical mean shortest path length to hold against the
+per machine word, from every (or a sampled set of) source node(s).  Each
+level pulls only into nodes not yet reached from every source of the
+word, and counts the new bits per source with carry-free byte-lane sums.
+That gives an empirical mean shortest path length to hold against the
 closed-form degree/path-length relation in :mod:`oesnn.scaling`.
 
 Graphs store a directed orientation (one synapse per undirected edge, coin
@@ -65,8 +67,10 @@ class NetworkGraph:
             return np.empty((0, 2), dtype=np.int64)
         lo = np.minimum(self.pre, self.post)
         hi = np.maximum(self.pre, self.post)
-        # hi < n, so the key orders pairs as (lo, hi) does.
-        keys = np.unique(lo * self.n + hi)
+        # hi < n, so the key orders pairs as (lo, hi) does.  Only a
+        # reciprocal pair of synapses repeats a key.
+        keys = np.sort(lo * self.n + hi)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         return np.stack([keys // self.n, keys % self.n], axis=1)
 
     def undirected_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +145,18 @@ def generate_er(n: int, mean_degree: float, seed: int) -> NetworkGraph:
     return NetworkGraph(n=n, pre=pre, post=post, seed=seed)
 
 
+def _bit_counts(words: np.ndarray) -> np.ndarray:
+    """Count of set bit j over ``uint64`` words, for j in 0..63.
+
+    The unpacked 0/1 bytes are summed eight to a ``uint64``; a byte lane
+    cannot carry within 255 rows, and only the lane sums are widened.
+    """
+    n = len(words)
+    bits = np.unpackbits(words.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
+    lanes = np.add.reduceat(bits.view(np.uint64), np.arange(0, n, 255), axis=0)
+    return lanes.view(np.uint8).sum(axis=0, dtype=np.int64)
+
+
 def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None) -> PathStats:
     """Exact BFS mean over all (or sampled) sources on the undirected view.
 
@@ -151,8 +167,13 @@ def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None
 
     Sources are traversed 64 at a time, one bit per source in a ``uint64``
     word per node (multi-source BFS, Then et al., VLDB 2014): each level is
-    one gather over the adjacency, one OR-reduction per node and a mask
-    against the visited words.
+    one gather over the adjacency, one OR-reduction per open row and a
+    mask against the visited words.  A row stays open until its visited
+    word holds every source of the block; the search stops when no row is
+    open, and whenever the open rows fall to half of the rows gathered,
+    their adjacency is re-packed so that closed rows cost nothing (the
+    bottom-up step of Beamer, Asanovic and Patterson, SC 2012).  The new
+    bits are counted per source by :func:`_bit_counts`.
     """
     if graph.edge_count == 0:
         raise DomainError("path statistics need a graph with edges")
@@ -167,25 +188,25 @@ def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None
     if sampled:
         sources = substream(graph.seed, "path-sources").choice(n, size=sample_sources, replace=False)
     # reduceat yields g[start] for an empty row, so reduce over linked nodes only.
-    linked = np.flatnonzero(np.diff(indptr) > 0)
-    row_starts = indptr[linked]
+    degree = np.diff(indptr)
+    linked = np.flatnonzero(degree > 0)
     hits = np.zeros(len(sources), dtype=np.int64)
     dist_sums = np.zeros(len(sources), dtype=np.int64)
     diameter = 0
     for b in range(0, len(sources), 64):
         block = sources[b : b + 64]
         width = len(block)
+        full = np.uint64(2**width - 1)
         visited = np.zeros(n, dtype=np.uint64)
         visited[block] = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
         frontier = visited
         reached = np.zeros(n, dtype=np.uint64)
+        rows, row_starts, gather = linked, indptr[linked], indices
         level = 0
         while True:
-            reached[linked] = np.bitwise_or.reduceat(frontier[indices], row_starts)
+            reached[rows] = np.bitwise_or.reduceat(frontier[gather], row_starts)
             new = reached & ~visited
-            # Column j counts bit j, the source b + j, on little-endian words.
-            counts = np.unpackbits(new.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
-            counts = counts.sum(axis=0, dtype=np.int64)[:width]
+            counts = _bit_counts(new)[:width]
             if not counts.any():
                 break
             level += 1
@@ -193,6 +214,16 @@ def average_shortest_path(graph: NetworkGraph, sample_sources: int | None = None
             dist_sums[b : b + width] += level * counts
             visited |= new
             frontier = new
+            # A full visited word can gain nothing more, so its row closes.
+            open_rows = rows[visited[rows] != full]
+            if open_rows.size == 0:
+                break
+            if 2 * open_rows.size <= rows.size:
+                rows, lengths = open_rows, degree[open_rows]
+                ends = np.cumsum(lengths)
+                row_starts = ends - lengths
+                gather = indices[np.repeat(indptr[rows] - row_starts, lengths) + np.arange(ends[-1])]
+                reached[:] = 0
         diameter = max(diameter, level)
     reachable = int(hits.sum())
     if reachable == 0:
@@ -235,6 +266,8 @@ def validate_path_model(
         raise DomainError("sizes and degrees must be non-empty")
     if seeds < 1:
         raise DomainError("seeds must be at least 1")
+    if sample_sources is not None and sample_sources < 1:
+        raise DomainError(f"sample_sources must be at least 1, got {sample_sources}")
     seed_rng = substream(base_seed, "validate-seeds")
     rows = []
     for n, k in itertools.product(sizes, degrees):

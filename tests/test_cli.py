@@ -582,6 +582,8 @@ class TestValidateEq6:
             ("--tolerance", "nan", "tolerance must be finite and at least 0"),
             ("--tolerance", "-0.1", "tolerance must be finite and at least 0"),
             ("--tolerance", "inf", "tolerance must be finite and at least 0"),
+            ("--sample-sources", "0", "sample_sources must be at least 1, got 0"),
+            ("--sample-sources", "-3", "sample_sources must be at least 1, got -3"),
         ],
     )
     def test_bad_size_or_tolerance_usage_error(self, capsys, tmp_path, flag, value, problem):

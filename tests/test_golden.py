@@ -13,6 +13,12 @@ enough synapses that the ledger's rows span several writer blocks; and a
 Poisson drive whose first chunk of gaps is drawn in several slices,
 merged with a second drive.
 
+The path oracle behind ``validate-eq6`` is pinned the same way: the bytes
+of its CSV for an exact all-source run (the criterion-08 shape) and for a
+run large enough to fall back to sampled sources, and the exact floats of
+one sampled ``PathStats``, whose ``mean_stderr`` is built from the
+per-source counts and appears in no CSV.
+
 A change that alters the bytes on purpose updates the table below from
 the digests the failing test prints, and says so.
 """
@@ -24,6 +30,7 @@ import pytest
 
 from oesnn.cli import main
 from oesnn.config import bundled_scenario_names
+from oesnn.netgen import average_shortest_path, generate_er
 
 SNSPD_LINK = {
     "wavelength": 1.5e-6,
@@ -254,3 +261,26 @@ def test_output_bytes_match_golden_digests(name, tmp_path, capsys):
     got = (_sha256(out / "spikes.csv"), _sha256(out / "ledger.json"))
     assert got == GOLDEN[name], f"new digests for {name!r}: {got!r}"
 
+
+# validate-eq6 arguments -> sha256 of path-model-validation.csv
+VALIDATE_GOLDEN = {
+    "--n 2000 --k 16 --seeds 10 --seed 0": "4c3418a71e5eeee84ff30b01438e6f8ee4647420e694c30560f8ebbab5690ed4",
+    # n > 5000 falls back to 1000 sampled sources per graph.
+    "--n 6000 --k 8 --seeds 2 --seed 0": "1f30db677eb715479478188cd8e121ef5a851193341f0e236c0fd2a064efe639",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VALIDATE_GOLDEN))
+def test_validate_eq6_bytes_match_golden_digests(args, tmp_path, capsys):
+    assert main(["validate-eq6", *args.split(), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = _sha256(tmp_path / "path-model-validation.csv")
+    assert got == VALIDATE_GOLDEN[args], f"new digest for validate-eq6 {args}: {got!r}"
+
+
+def test_sampled_path_stats_match_golden_floats():
+    stats = average_shortest_path(generate_er(6000, 8, seed=3))
+    assert (stats.diameter, stats.sources) == (7, 1000)
+    assert stats.mean_shortest_path.hex() == "0x1.1a6793313b8c4p+2"
+    assert stats.reachable_fraction.hex() == "0x1.ffbe73fcc1bd3p-1"
+    assert stats.mean_stderr.hex() == "0x1.aa802f154928ap-8"

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oesnn import netgen
 from oesnn.errors import DomainError
 from oesnn.netgen import (
     NetworkGraph,
+    _bit_counts,
     average_shortest_path,
     generate_er,
     validate_path_model,
@@ -28,6 +30,10 @@ def path_graph(n: int) -> NetworkGraph:
     return NetworkGraph(n=n, pre=pre, post=post)
 
 
+def star_graph(n: int) -> NetworkGraph:
+    return NetworkGraph(n=n, pre=np.zeros(n - 1, dtype=np.int64), post=np.arange(1, n))
+
+
 def floyd_warshall(graph: NetworkGraph) -> np.ndarray:
     """Independent all-pairs oracle (vectorized min-plus relaxation)."""
     n = graph.n
@@ -49,6 +55,33 @@ def assert_matches_oracle(graph: NetworkGraph):
     assert stats.reachable_fraction == finite.sum() / (graph.n * (graph.n - 1))
     assert stats.diameter == int(dist[finite].max())
     return stats
+
+
+def assert_sampled_matches_oracle(graph: NetworkGraph, sample_sources: int):
+    """Exact agreement of every sampled-source statistic with Floyd-Warshall."""
+    stats = average_shortest_path(graph, sample_sources=sample_sources)
+    sources = substream(graph.seed, "path-sources").choice(graph.n, size=sample_sources, replace=False)
+    dist = floyd_warshall(graph)[sources]
+    finite = np.isfinite(dist) & (dist > 0)
+    means = [row[mask].mean() for row, mask in zip(dist, finite) if mask.any()]
+    assert stats.mean_stderr == np.std(means, ddof=1) / np.sqrt(len(means))
+    assert stats.mean_shortest_path == dist[finite].sum() / finite.sum()
+    assert stats.reachable_fraction == finite.sum() / (sample_sources * (graph.n - 1))
+    assert stats.diameter == int(dist[finite].max())
+    return stats
+
+
+class TestBitCounts:
+    @pytest.mark.parametrize("rows", [254, 255, 256, 510, 511, 512])
+    def test_lane_sums_cross_the_carry_boundary(self, rows):
+        ones = np.full(rows, np.iinfo(np.uint64).max, dtype=np.uint64)
+        random = np.random.default_rng(rows).integers(0, 2**64, size=rows, dtype=np.uint64)
+        for words in (ones, random):
+            expected = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(rows, 64).sum(axis=0)
+            got = _bit_counts(words)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+        assert np.all(_bit_counts(ones) == rows)
 
 
 class TestGraphInvariants:
@@ -207,16 +240,33 @@ class TestAverageShortestPath:
         assert stats.reachable_fraction < 1
 
     def test_sampled_stderr_matches_oracle_per_source(self):
-        g = generate_er(200, 4, seed=8)
-        stats = average_shortest_path(g, sample_sources=50)
-        sources = substream(g.seed, "path-sources").choice(g.n, size=50, replace=False)
-        dist = floyd_warshall(g)[sources]
-        finite = np.isfinite(dist) & (dist > 0)
-        means = [row[mask].mean() for row, mask in zip(dist, finite) if mask.any()]
-        assert stats.mean_stderr == np.std(means, ddof=1) / np.sqrt(len(means))
-        assert stats.mean_shortest_path == dist[finite].sum() / finite.sum()
-        assert stats.reachable_fraction == finite.sum() / (50 * (g.n - 1))
-        assert stats.diameter == int(dist[finite].max())
+        assert_sampled_matches_oracle(generate_er(200, 4, seed=8), 50)
+
+    def test_sampled_disconnected_graph_matches_floyd_warshall(self):
+        # Three components and isolated nodes: the rows of at least one
+        # component never fill, so each block ends on a level that finds
+        # nothing new rather than on the last open row closing.
+        pre = np.array([0, 1, 2, 3, 5, 6, 70, 71, 40, 41])
+        post = np.array([1, 2, 3, 4, 6, 69, 71, 72, 41, 42])
+        g = NetworkGraph(n=80, pre=pre, post=post, seed=4)
+        stats = assert_sampled_matches_oracle(g, 70)
+        assert stats.reachable_fraction < 1
+
+    def test_star_counts_more_than_255_nodes_in_one_level(self):
+        # The hub's source finds all n - 1 leaves at level 1.
+        n = 700
+        stats = average_shortest_path(star_graph(n))
+        assert stats.mean_shortest_path == 2 * (n - 1) / n
+        assert stats.reachable_fraction == 1.0
+        assert stats.diameter == 2
+
+    def test_long_path_closes_rows_level_by_level(self):
+        # Rows fill one by one, so the open-row gather is re-packed often.
+        n = 200
+        stats = average_shortest_path(path_graph(n))
+        assert stats.mean_shortest_path == (n + 1) / 3
+        assert stats.reachable_fraction == 1.0
+        assert stats.diameter == n - 1
 
     def test_adding_edges_never_increases_mean(self):
         rng = np.random.default_rng(5)
@@ -286,6 +336,15 @@ class TestValidatePathModel:
         a = validate_path_model([300], [8], seeds=2, base_seed=5)
         b = validate_path_model([300], [8], seeds=2, base_seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("sample_sources", [0, -3])
+    def test_bad_sample_sources_rejected_before_any_graph(self, monkeypatch, sample_sources):
+        def no_graph(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(netgen, "generate_er", no_graph)
+        with pytest.raises(DomainError, match="sample_sources must be at least 1"):
+            validate_path_model([100], [4], seeds=1, sample_sources=sample_sources)
 
     def test_disconnected_realizations_surface_reachability(self):
         # Just above the percolation regime the graph fragments; the report
