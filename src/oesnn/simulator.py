@@ -13,13 +13,14 @@ A run compiles per-edge arrays, loops over the events, and reports.  The
 transmit delay is one constant, so arrivals come in time order: each spike
 of a neuron with out-edges is one batch of arrivals one delay later, so the
 loop merges the drives' lazy spike trains with a cursor over the spike
-record, and at equal times the forced spikes go first.  One handler takes
-every batch with array operations that reproduce, bit for bit, handling its
-arrivals one at a time in edge order, STDP writes included.  A graph holds
-each (pre, post) pair once, so a spike reaches each post neuron at most
-once.  The loop alone enforces the event budget: it cuts a batch that
-would exceed it, and a train is drawn only as far as the loop reads it.
-An STDP write that faults stops the run.
+record, and at equal times the forced spikes go first.  A batch of fewer
+than ``_SCALAR_BATCH`` edges is handled one arrival at a time in edge order,
+on scalar views of the run's arrays; a larger one with array operations
+that reproduce that, bit for bit, STDP writes included.  A graph holds each
+(pre, post) pair once, so a spike reaches each post neuron at most once.
+The loop alone enforces the event budget: it cuts a batch that would
+exceed it, and a train is drawn only as far as the loop reads it.  An STDP
+write that faults stops the run.
 
 Synaptic memory is kept as per-edge columns (level, weight, write count,
 degraded flag and parameter group, see ``plasticity.MemoryColumns``), and
@@ -47,6 +48,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -257,8 +259,10 @@ class EnergyLedger:
 
 @dataclass
 class SpikeRecord:
-    neurons: list[int] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
+    """Each spike's neuron and time, in the order the run fired them, as typed arrays: 16 bytes a spike."""
+
+    neurons: array = field(default_factory=lambda: array("q"))
+    times: array = field(default_factory=lambda: array("d"))
 
     def __len__(self):
         return len(self.neurons)
@@ -434,6 +438,13 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
 
 _DRAW_CHUNK = 4096  # random values drawn at a time: detection outcomes, and a rate drive's gaps
 _TRACE_EVENTS = 32  # events an error reports
+# Batches of fewer edges take the scalar handler.  The scalar handler pays
+# no fixed NumPy cost per batch but more per edge: it is the faster one up
+# to about 20 edges without plasticity and about 50 with STDP, and at 32
+# neither is more than about 1.3x slower than the other.  The benchmark's
+# stdp-semi batches (1 to 24 edges) and fanout-sc batches (62 to 141 edges)
+# fall on either side, so each handler is measured.
+_SCALAR_BATCH = 32
 
 
 def _loop(c: _Compiled) -> None:
@@ -443,6 +454,13 @@ def _loop(c: _Compiled) -> None:
     spike record, where each spike of a neuron with out-edges is one batch
     of arrivals one transmit delay later.  The delay is uniform, so the
     batches come in time order; at equal times the forced spikes go first.
+
+    Two handlers take the batches and give the same bytes: ``arrive_each``,
+    one arrival at a time on memoryviews of the run's arrays, takes a batch
+    of fewer than ``_SCALAR_BATCH`` edges, and ``arrive``, with array
+    operations whose fixed cost only a larger batch repays, takes the rest.
+    Both share the state, the detection stream, ``fire`` and ``stdp_write``,
+    and the budget is enforced before either runs.
 
     A batch is only counted, and no membrane is checked: event times are at most the finite
     duration, so each decay lies in [0, 1], each increment in [-1, 1], and no membrane leaves float range.
@@ -454,14 +472,21 @@ def _loop(c: _Compiled) -> None:
     rng_noise = substream(config.seed, "stdp-noise")
     n, n_edges, post = c.graph.n, c.graph.edge_count, c.graph.post
     out_edges, in_edges, memory = c.out_edges, c.in_edges, c.memory
-    sign, increment = c.sign, c.increment
+    increment = c.increment
     membrane, membrane_t, last_spike = np.zeros(n), np.zeros(n), np.full(n, -math.inf)
-    det_count, sup_count, write_count = c.det_count, c.sup_count, c.write_count
+    det_count, sup_count = c.det_count, c.sup_count
     neurons, times = c.spikes.neurons, c.spikes.times
     dead_time, max_fluxons = c.dead_time, c.max_fluxons
     # Only a dead time reads the last detection, and only STDP the last arrival.
     last_detection = np.full(n_edges, -math.inf) if dead_time else None
     last_pre_event = np.full(n_edges, -math.inf) if plasticity is not None else None
+    # Scalar views of the same arrays, named with a trailing underscore: an
+    # item is a Python float or int, at half the cost of a NumPy scalar.
+    membrane_, membrane_t_, last_spike_ = map(memoryview, (membrane, membrane_t, last_spike))
+    det_count_, sup_count_, write_count_ = map(memoryview, (det_count, sup_count, c.write_count))
+    increment_, sign_, weight_, level_ = map(memoryview, (increment, c.sign, memory.weight, memory.level))
+    last_detection_ = memoryview(last_detection) if dead_time else None
+    last_pre_event_ = memoryview(last_pre_event) if plasticity is not None else None
     stochastic = c.poisson_need is not None or c.p_detect < 1.0
     # Nothing else reads the detect stream, and a chunked draw gives the
     # values of one long draw, so outcomes are drawn ahead and used in order.
@@ -483,31 +508,31 @@ def _loop(c: _Compiled) -> None:
     def fire(v: int, t: float) -> None:
         neurons.append(v)
         times.append(t)
-        last_spike[v] = t
-        membrane[v] = 0.0
-        membrane_t[v] = t
+        last_spike_[v] = t
+        membrane_[v] = 0.0
+        membrane_t_[v] = t
         if plasticity is not None:
             for e in in_edges[v].tolist():
-                if last_pre_event[e] > -math.inf:
-                    stdp_write(e, last_pre_event[e], t)
+                if last_pre_event_[e] > -math.inf:
+                    stdp_write(e, last_pre_event_[e], t)
 
     def stdp_write(e: int, pre_t: float, post_t: float) -> None:
         """Apply the STDP pairing of edge ``e`` to its memory and count the write."""
-        old_weight = memory.weight[e]
+        old_weight = weight_[e]
         try:
             applied = memory.write(e, pre_t, post_t, plasticity, rng_noise)
         except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
             raise SimulationError(f"synapse {e}: {exc}", tail()) from None
         if applied == 0.0:
             return
-        write_count[e] += 1
-        weight, level = float(memory.weight[e]), int(memory.level[e])
-        increment[e] = sign[e] * weight
+        write_count_[e] += 1
+        weight, level = weight_[e], level_[e]
+        increment_[e] = sign_[e] * weight
         if level >= 0:
             c.levels_moved += abs(int(applied))
             if max_fluxons:  # the detections so far emitted the old rate; _report prices them at the final one
                 old, new = _fluxon_rate(level, old_weight, max_fluxons), _fluxon_rate(level, weight, max_fluxons)
-                c.fluxon_correction[e] += det_count[e] * (old - new)
+                c.fluxon_correction[e] += det_count_[e] * (old - new)
 
     def detected(k: int) -> np.ndarray:
         """The next ``k`` detection outcomes of the stream."""
@@ -557,7 +582,7 @@ def _loop(c: _Compiled) -> None:
         above = values >= threshold
         if plasticity is None:
             for v in posts[above].tolist():
-                if t - last_spike[v] >= refractory:
+                if t - last_spike_[v] >= refractory:
                     fire(v, t)
             return
         # In edge order: depress the edge if its post neuron has spiked,
@@ -565,9 +590,41 @@ def _loop(c: _Compiled) -> None:
         # their order.
         last_pre_event[edges] = t
         for e, v, up in zip(edges.tolist(), posts.tolist(), above.tolist()):
-            if last_spike[v] > -math.inf:
-                stdp_write(e, t, last_spike[v])
-            if up and t - last_spike[v] >= refractory:
+            if last_spike_[v] > -math.inf:
+                stdp_write(e, t, last_spike_[v])
+            if up and t - last_spike_[v] >= refractory:
+                fire(v, t)
+
+    def arrive_each(t: float, edges: np.ndarray) -> None:
+        """The arrivals of ``arrive``, one at a time in edge order on the scalar views.
+
+        As in ``arrive``, detection outcomes are drawn only for the arrivals
+        the dead time leaves.
+        """
+        batch = zip(edges.tolist(), post[edges].tolist())
+        if dead_time:
+            live = []
+            for e, v in batch:
+                if t - last_detection_[e] < dead_time:
+                    sup_count_[e] += 1
+                else:
+                    live.append((e, v))
+            batch = live
+        if stochastic:
+            batch = list(batch)
+            batch = itertools.compress(batch, detected(len(batch)).tolist())
+        for e, v in batch:
+            det_count_[e] += 1
+            if dead_time:
+                last_detection_[e] = t
+            value = membrane_[v] * math.exp((membrane_t_[v] - t) / tau_soma) + increment_[e]
+            membrane_[v] = value
+            membrane_t_[v] = t
+            if plasticity is not None:
+                last_pre_event_[e] = t
+                if last_spike_[v] > -math.inf:
+                    stdp_write(e, t, last_spike_[v])
+            if value >= threshold and t - last_spike_[v] >= refractory:
                 fire(v, t)
 
     def over_budget() -> SimulationError:
@@ -604,8 +661,9 @@ def _loop(c: _Compiled) -> None:
         if over:
             edges = edges[: config.max_events - processed]
         processed += edges.size
-        trace.append((arrival, "arrivals", edges))
-        arrive(arrival, edges)
+        if edges.size:  # a batch cut to nothing would push a real event out of the trace
+            trace.append((arrival, "arrivals", edges))
+        (arrive_each if edges.size < _SCALAR_BATCH else arrive)(arrival, edges)
         if over:
             raise over_budget()
 

@@ -1,20 +1,22 @@
 """The simulator's event loop written one arrival at a time, as a test reference.
 
-``simulator._loop`` handles all arrivals of one spike together with array
-operations, writes STDP on per-edge memory columns, and only counts events:
-``simulator._report`` derives each edge's misses and prices the energy
-ledger from the counts.  This module handles the same events the plain way:
-forced spikes and arrivals merged in time order through a queue, each
-arrival on its own, in edge order, with scalar draws from the detection
-stream, on one scalar memory cell per edge that ``apply_stdp`` of
-``reference_memory`` replaces, with each edge's misses counted as they
-happen, and with live counters and an energy ledger that adds each
-event's energy as it happens, fluxons at each edge's rate of the time.  It runs over the record
-``simulator._compile`` builds and fills the same event counts, writes its
-final cells back into the memory columns, and is closed by
-``simulator._report``, whose spikes and synapse report it returns with its
-own ledger, so the priced ledger of ``run()`` can be checked against the
-per-event one.
+``simulator._loop`` handles the arrivals of one spike together, with array
+operations or, in a batch of fewer than ``simulator._SCALAR_BATCH`` edges,
+one at a time on memoryviews; it writes STDP on per-edge memory columns,
+and only counts events: ``simulator._report`` derives each edge's misses
+and prices the energy ledger from the counts.  This module handles the
+same events the plain way: forced spikes and arrivals merged in time order
+through a queue, each arrival on its own, in edge order, with scalar draws
+from the detection stream, on one scalar memory cell per edge that
+``apply_stdp`` of ``reference_memory`` replaces, with each edge's misses
+counted as they happen, and with live counters and an energy ledger that
+adds each event's energy as it happens, fluxons at each edge's rate of the
+time.  A write that faults raises ``SimulationError`` naming the synapse,
+as ``run()`` does.  It runs over the record ``simulator._compile`` builds
+and fills the same event counts, writes its final cells back into the
+memory columns, and is closed by ``simulator._report``, whose spikes and
+synapse report it returns with its own ledger, so the priced ledger of
+``run()`` can be checked against the per-event one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from oesnn.errors import SimulationError
+from oesnn.errors import DomainError, SimulationError
 from oesnn.linkbudget import ReceiverlessPhotodiode, SnspdReceiver, photodiode_static_power
 from oesnn.plasticity import loop_write_energy
 from oesnn.rng import substream
@@ -113,8 +115,7 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
         if plasticity is not None:
             for e in in_edges[v].tolist():
                 if last_pre_event[e] > -math.inf:
-                    cells[e], applied = apply_stdp(last_pre_event[e], t, cells[e], plasticity, rng_noise)
-                    account_write(e, applied)
+                    stdp_write(e, last_pre_event[e], t)
         fanout = len(out_edges[v])
         if fanout:
             # One addition per synapse, in order, as the ledger rounds them.
@@ -124,7 +125,12 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
             counters.transmissions += fanout
             queue.append((t + neuron.transmit_delay, v))
 
-    def account_write(e: int, applied: float) -> None:
+    def stdp_write(e: int, pre_t: float, post_t: float) -> None:
+        """Apply one pairing to the cell of edge ``e`` and account the write; a fault names the synapse."""
+        try:
+            cells[e], applied = apply_stdp(pre_t, post_t, cells[e], plasticity, rng_noise)
+        except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
+            raise SimulationError(f"synapse {e}: {exc}", trace) from None
         if applied == 0.0:
             return
         c.write_count[e] += 1
@@ -167,8 +173,7 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
         pulse = increment[e]
         if plasticity is not None:
             if last_spike[v] > -math.inf:
-                cells[e], applied = apply_stdp(t, last_spike[v], cells[e], plasticity, rng_noise)
-                account_write(e, applied)
+                stdp_write(e, t, last_spike[v])
             last_pre_event[e] = t
         dt = t - membrane_t[v]
         if dt > 0:

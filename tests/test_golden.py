@@ -9,7 +9,8 @@ with STDP on noisy, endurance-limited analog memory and without; a zero
 transmit delay, so that spikes cascade within one instant; heavy detector
 dead-time suppression; deterministic photodiodes; mixed loop and analog
 edge overrides with inhibitory edges; STDP on loop memory over
-enough synapses that the ledger's rows span several writer blocks; and a
+enough synapses that the ledger's rows span several writer blocks;
+out-degrees on both sides of the event loop's scalar batch cut; and a
 Poisson drive whose first chunk of gaps is drawn in several slices,
 merged with a second drive.
 
@@ -49,10 +50,20 @@ PHOTODIODE_LINK = {
 NEURON = {"threshold": 1.0, "refractory": 5e-8, "transmit_delay": 5e-8}
 
 
+def _edges(pairs, spec) -> list[dict]:
+    """Edges ``pre -> post`` of ``pairs`` in order, each with the overrides ``spec(index)``."""
+    return [{"pre": pre, "post": post, **spec(k)} for k, (pre, post) in enumerate(pairs)]
+
+
 def _ring_edges(n: int, hops, spec) -> list[dict]:
     """Edges ``i -> i + hop (mod n)``, each with the overrides ``spec(index)``."""
-    pairs = [(i, (i + hop) % n) for i in range(n) for hop in hops]
-    return [{"pre": pre, "post": post, **spec(k)} for k, (pre, post) in enumerate(pairs)]
+    return _edges([(i, (i + hop) % n) for i in range(n) for hop in hops], spec)
+
+
+def _er_edges(n: int, mean_degree: float, seed: int, spec) -> list[dict]:
+    """The edges of ``generate_er(n, mean_degree, seed)`` in its order, each with the overrides ``spec(index)``."""
+    graph = generate_er(n, mean_degree, seed)
+    return _edges(zip(graph.pre.tolist(), graph.post.tolist()), spec)
 
 
 def _mixed_override(k: int) -> dict:
@@ -176,6 +187,20 @@ ER_SCENARIOS = {
         "energy": {"i_c": 300e-6},
         "inputs": [{"neuron": v, "rate": 1e5} for v in range(0, 700, 25)],
     },
+    # Out-degrees from 15 to 49, so that batches take both of the event
+    # loop's arrival handlers; a dead time, and every third edge inhibitory.
+    "er-straddle-cut": {
+        "name": "er-straddle-cut",
+        "seed": 19,
+        "duration": 1e-5,
+        "profile": "superconducting-4K",
+        "network": {"n": 300, "edges": _er_edges(300, 64.0, 19, lambda k: {"inhibitory": True} if k % 3 == 0 else {})},
+        "link": {**SNSPD_LINK, "receiver": {**SNSPD_LINK["receiver"], "reset_time": 1e-6}},
+        "neuron": NEURON,
+        "synapse": {"tau": 1e-6, "weight": 0.3, "memory_kind": "loop", "bits": 8},
+        "energy": {"i_c": 300e-6},
+        "inputs": [{"neuron": v, "rate": 1e6} for v in range(0, 300, 15)],
+    },
     "rate-drive-slices": {
         "name": "rate-drive-slices",
         "seed": 5,
@@ -233,6 +258,10 @@ GOLDEN = {
     "er-loop-stdp-chunks": (
         "9f38d22c0fddde9ed115fae0b2fe7392365479c54295f675e7f858eb47193282",
         "5f773106a04c912c06c58afd1879dd550250a2ecae7babc3aa142c391ab8fa6a",
+    ),
+    "er-straddle-cut": (
+        "684103ae55873965acf074f55c3091715ce80102f056eb4e50360efe7a4ec2d2",
+        "b86011f84c657da8c40cc78c03fd6daf5081d828777921673ebdf9dec10e0252",
     ),
     "rate-drive-slices": (
         "a3423b777f5999ca90959c4b57ac7cc84ed376eb95fc8b71dd53bb3ac70ccdb1",

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oesnn import simulator
 from oesnn.config import build_scenario
 from oesnn.errors import DomainError, SimulationError
 from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver
@@ -50,6 +53,31 @@ def snspd_link(**kw):
     defaults = dict(wavelength=1.5e-6, eta=0.01, n_ph=7.0, stochastic=False)
     defaults.update(kw)
     return OpticalLink(**defaults)
+
+
+def assert_same_outputs(profile, outputs, reference) -> dict:
+    """``run()``'s ``outputs`` against the ``reference`` outputs of ``reference_run``; returns the counters.
+
+    The reference handles each arrival on its own with scalar draws, on one
+    scalar memory cell per edge, counts each edge's misses itself, and keeps
+    live counters and a ledger that adds each event's energy.  Spikes,
+    counters and synapse rows must agree exactly, and each energy value to
+    rounding.
+    """
+    (spikes, ledger, report), (ref_spikes, ref_ledger, ref_report) = outputs, reference
+    assert spikes.neurons == ref_spikes.neurons and spikes.times == ref_spikes.times
+    rows = report.as_dict()
+    assert rows == ref_report.as_dict()
+    priced, summed = ledger.as_dict(profile), ref_ledger.as_dict(profile)
+    assert priced.keys() == summed.keys() and priced["categories_j"].keys() == summed["categories_j"].keys()
+    assert priced["counters"] == summed["counters"]
+    for key in priced.keys() - {"counters"}:
+        got, want = priced[key], summed[key]
+        if key == "categories_j":
+            got, want = list(got.values()), list(want.values())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=key)
+    assert sum(row["misses"] for row in rows["synapses"]) == priced["counters"]["misses"]
+    return priced["counters"]
 
 
 class TestThresholdLogic:
@@ -123,7 +151,7 @@ class TestEventOrder:
             inputs=(InputDrive(neuron=0, times=(1e-6,)), InputDrive(neuron=1, times=(1e-6,))),
         )
         spikes, ledger, report = run(chain_graph(), config)
-        assert spikes.neurons == [0, 1] and spikes.times == [1e-6, 1e-6]
+        assert list(spikes.neurons) == [0, 1] and list(spikes.times) == [1e-6, 1e-6]
         assert ledger.counters.forced_spikes == 2 and report.detections == [1]
 
     def test_equal_drive_times_keep_drive_order(self):
@@ -139,7 +167,7 @@ class TestEventOrder:
             ),
         )
         spikes, _, _ = run(two_input_graph(), config)
-        assert spikes.neurons == [2, 0, 1] * 60
+        assert list(spikes.neurons) == [2, 0, 1] * 60
 
 
 class TestDetectionStatistics:
@@ -496,6 +524,28 @@ class TestGuards:
                 assert err.value.trace_tail == tail
                 assert str(err.value).count("\n    (") == 32
 
+    def test_budget_met_by_a_batch_keeps_a_full_trace(self):
+        # Two neurons driving each other with no delay, refractory period or
+        # dead time cascade in one instant, one arrival per batch.  The batch
+        # after the one that meets the budget is cut to nothing and must not
+        # take a place in the trace.
+        config = SimConfig(
+            duration=1e-6,
+            seed=1,
+            link=snspd_link(receiver=SnspdReceiver(reset_time=0.0)),
+            neuron=NeuronParams(threshold=0.5, refractory=0.0, transmit_delay=0.0),
+            synapse=SynapseDefaults(weight=1.0),
+            inputs=(InputDrive(neuron=0, times=(0.0,)),),
+            max_events=40,
+        )
+        graph = NetworkGraph(n=2, pre=np.array([0, 1]), post=np.array([1, 0]))
+        tails = []
+        for simulate in (run, reference_run):
+            with pytest.raises(SimulationError, match=r"event budget exceeded \(40 events\)") as err:
+                simulate(graph, config)
+            tails.append(err.value.trace_tail)
+        assert tails[0] == tails[1] == [(0.0, "arrival", (k + 1) % 2) for k in range(32)]  # arrivals 8 to 39
+
     @pytest.mark.parametrize(
         "drive",
         [InputDrive(neuron=0, count=10**12, interval=1e-15), InputDrive(neuron=0, rate=1e30)],
@@ -615,16 +665,14 @@ class TestGuards:
 
 
 class TestBatchedArrivals:
-    """``run()`` against the arrival-by-arrival loop in ``reference_loop``.
+    """``run()`` against the arrival-by-arrival loop in ``reference_loop``, on fixed cases.
 
-    ``run()`` handles each spike's arrivals as one batch, writes STDP on
-    the memory columns and prices its ledger once from event counts; the
-    reference handles them one at a time with scalar draws, on one scalar
-    memory cell per edge, counts each edge's misses itself, and keeps live
-    counters and a ledger that adds each event's energy.  Spikes, counters
-    and synapse rows must agree exactly, and each energy value to rounding.
-    The cases include every ER document whose output bytes ``test_golden``
-    pins.
+    ``run()`` handles each spike's arrivals as one batch, with array
+    operations or, below ``_SCALAR_BATCH`` edges, one at a time on scalar
+    views; it writes STDP on the memory columns and prices its ledger once
+    from event counts.  The cases include every ER document whose output
+    bytes ``test_golden`` pins, among them one whose out-degrees straddle
+    the cut, and a plastic variant of that one.
     """
 
     CASES = [
@@ -634,12 +682,17 @@ class TestBatchedArrivals:
         "dead-time-inhibitory",
         "stdp-analog-noisy",
         "stdp-loop",
+        "straddle-stdp",
     ]
 
     @staticmethod
     def _case(case):
         if case in ER_SCENARIOS:  # the documents whose outputs tests/test_golden.py pins
             return build_scenario(json.loads(json.dumps(ER_SCENARIOS[case])))
+        if case == "straddle-stdp":
+            graph, config = TestBatchedArrivals._case("er-straddle-cut")
+            stdp = StdpParams(a_plus=1, a_minus=1, tau_plus=1e-6, tau_minus=1e-6)
+            return graph, dataclasses.replace(config, duration=5e-6, plasticity=stdp)
         graph = generate_er(150, 12.0, seed=5)
         config = SimConfig(
             duration=1e-4,
@@ -680,24 +733,17 @@ class TestBatchedArrivals:
     @pytest.mark.parametrize("case", CASES + sorted(ER_SCENARIOS))
     def test_batches_match_single_arrivals(self, case):
         graph, config = self._case(case)
-        results, ledgers = [], []
-        for simulate in (run, reference_run):
-            spikes, ledger, report = simulate(graph, config)
-            results.append((spikes.neurons, spikes.times, report.as_dict()))
-            ledgers.append(ledger.as_dict(config.profile))
-        assert results[0] == results[1]
-        priced, summed = ledgers
-        assert priced.keys() == summed.keys() and priced["categories_j"].keys() == summed["categories_j"].keys()
-        assert priced["counters"] == summed["counters"]
-        for key in priced.keys() - {"counters"}:
-            got, want = priced[key], summed[key]
-            if key == "categories_j":
-                got, want = list(got.values()), list(want.values())
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=key)
-        counters = priced["counters"]
+        counters = assert_same_outputs(config.profile, run(graph, config), reference_run(graph, config))
         assert counters["detections"] > 0
         assert (counters["stdp_writes"] > 0) == (config.plasticity is not None)
-        assert sum(row["misses"] for row in results[0][2]["synapses"]) == counters["misses"]
+
+    def test_straddling_document_takes_both_handlers(self):
+        graph, config = self._case("er-straddle-cut")
+        spikes, _, _ = run(graph, config)
+        out_degree = np.bincount(graph.pre, minlength=graph.n)
+        batches = out_degree[np.asarray(spikes.neurons)]
+        batches = batches[batches > 0]
+        assert batches.min() < simulator._SCALAR_BATCH <= batches.max()
 
     @pytest.mark.parametrize("lam", [0.3, 4.9, 50.0, 5000.0, None])
     def test_chunked_detection_draws_equal_one_draw(self, lam):
@@ -720,6 +766,147 @@ class TestBatchedArrivals:
         assert report.memory.degraded.tolist() == [cell.degraded for cell in cells]
         assert report.memory.writes.tolist() == [cell.write_count for cell in cells]
         assert (report.memory.writes.any()) == (config.plasticity is not None)
+
+
+# Drive times, delays, refractory periods and dead times are multiples of a
+# power of two, so that sums of them are exact and events tie.
+GRID = 2.0**-24  # s, about 60 ns
+
+
+@st.composite
+def memory_fields(draw) -> dict:
+    if draw(st.booleans()):
+        return {"memory_kind": "loop", "bits": draw(st.integers(1, 10))}
+    noise, endurance = draw(st.sampled_from([0.0, 0.03])), draw(st.sampled_from([math.inf, 1.0, 4.0]))
+    return {"memory_kind": "analog", "write_noise_std": noise, "endurance": endurance}
+
+
+@st.composite
+def small_runs(draw):
+    """A small valid (graph, config) pair.
+
+    Half the graphs have a hub, neuron 0, whose out-degree is at least
+    ``_SCALAR_BATCH`` and which the first drive forces, so that its batches
+    take the array handler and the other neurons' batches the scalar one.
+    """
+    cut = simulator._SCALAR_BATCH
+    hub = draw(st.booleans())
+    n = draw(st.integers(cut + 1, cut + 8) if hub else st.integers(2, 12))
+    if draw(st.booleans()):
+        er = generate_er(n, draw(st.floats(0.5, min(n - 1, 6.0))), seed=draw(st.integers(0, 999)))
+        pairs = list(zip(er.pre.tolist(), er.post.tolist()))
+    else:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, min_size=1, max_size=2 * n, unique=True))
+    if hub:
+        pairs += [(0, v) for v in range(1, draw(st.integers(cut, n - 1)) + 1) if (0, v) not in pairs]
+    pre, post = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    graph = NetworkGraph(n=n, pre=pre, post=post)
+
+    weights = st.floats(0.2, 1.0)
+    synapse = SynapseDefaults(
+        tau=draw(st.sampled_from([1e-7, 1e-6])),
+        weight=draw(weights),
+        inhibitory=draw(st.integers(0, 3)) == 3,
+        **draw(memory_fields()),
+    )
+    overrides = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs else ():
+        ov = {"inhibitory": draw(st.booleans()), "tau": draw(st.sampled_from([1e-7, 3e-7, 1e-6]))}
+        if draw(st.booleans()):
+            ov.update(draw(memory_fields()))
+            if ov["memory_kind"] == "loop" and draw(st.booleans()):
+                ov["level"] = draw(st.integers(0, 2 ** ov["bits"] - 1))
+            else:
+                ov["weight"] = draw(weights)
+        overrides[pair] = ov
+
+    if draw(st.integers(0, 2)) < 2:
+        receiver = SnspdReceiver(reset_time=GRID * draw(st.sampled_from([32, 4, 1, 0])))
+        n_ph = draw(st.sampled_from([1.0, 7.0]))
+        link = snspd_link(n_ph=n_ph, stochastic=draw(st.integers(0, 3)) < 3, receiver=receiver)
+        profile = SUPERCONDUCTING_4K
+    else:
+        n_ph = draw(st.sampled_from([4900.0, 5100.0]))
+        link = OpticalLink(eta=0.01, n_ph=n_ph, receiver=ReceiverlessPhotodiode(), stochastic=draw(st.booleans()))
+        profile = SEMICONDUCTOR_300K
+    plasticity = None
+    if draw(st.integers(0, 2)) < 2:
+        plasticity = StdpParams(
+            a_plus=draw(st.sampled_from([0.05, 1.0, 3.0])),
+            a_minus=draw(st.sampled_from([0.05, 1.0, 3.0])),
+            tau_plus=draw(st.sampled_from([2e-7, 1e-6])),
+            tau_minus=draw(st.sampled_from([2e-7, 1e-6])),
+            on_exhaustion=draw(st.sampled_from(["freeze", "fault"])),
+            write_energy=draw(st.sampled_from([None, 1e-15])),
+        )
+
+    # The first drive forces the hub; the others mostly neurons with out-edges.
+    sources = sorted(set(graph.pre.tolist())) or [0]
+    drives = []
+    for i in range(draw(st.integers(1, 4))):
+        v = 0 if hub and i == 0 else draw(st.one_of(st.sampled_from(sources), st.integers(0, n - 1)))
+        start = GRID * draw(st.integers(0, 8))
+        kind = draw(st.sampled_from(["times", "count", "rate"]))
+        if kind == "times":  # unsorted, with ties
+            steps = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8))
+            drives.append(InputDrive(neuron=v, times=tuple(GRID * k for k in steps)))
+        elif kind == "count":
+            interval = GRID * draw(st.integers(1, 6))
+            drives.append(InputDrive(neuron=v, count=draw(st.integers(0, 12)), interval=interval, start=start))
+        else:
+            drives.append(InputDrive(neuron=v, rate=draw(st.sampled_from([1e6, 5e6])), start=start))
+    config = SimConfig(
+        duration=GRID * draw(st.integers(16, 64)),
+        seed=draw(st.integers(0, 2**32)),
+        link=link,
+        profile=profile,
+        neuron=NeuronParams(
+            threshold=draw(st.sampled_from([0.6, 0.3, 1.0, 1.5])),
+            refractory=GRID * draw(st.integers(0, 4)),
+            transmit_delay=GRID * draw(st.integers(0, 2)),
+            tau_soma=draw(st.sampled_from([None, 3e-7])),
+        ),
+        synapse=synapse,
+        synapse_overrides=overrides,
+        plasticity=plasticity,
+        inputs=tuple(drives),
+        energy=EnergyParams(
+            max_fluxons=draw(st.sampled_from([None, 0, 7])),
+            per_spike_overhead=draw(st.sampled_from([0.0, 1e-15])),
+        ),
+        max_events=draw(st.integers(0, 40)) if draw(st.booleans()) else 3000,  # small budgets cut batches
+    )
+    return graph, config
+
+
+class TestLoopFuzz:
+    """``run()`` against ``reference_run`` on generated scenarios."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_runs())
+    def test_run_matches_reference(self, case):
+        graph, config = case
+        outcomes = []
+        for simulate in (run, reference_run):
+            try:
+                outcomes.append(simulate(graph, config))
+            except SimulationError as exc:
+                outcomes.append(exc)
+        got, want = outcomes
+        assert type(got) is type(want), (got, want)
+        if isinstance(want, SimulationError):
+            # The message names the exceeded budget or the faulting synapse.  An
+            # STDP fault in run() lists the whole batch it stopped in, so only
+            # an exceeded budget lists the same events.
+            assert str(got).split("\n")[0] == str(want).split("\n")[0]
+            if "event budget" in str(want):
+                assert got.trace_tail == want.trace_tail
+        else:
+            counters = assert_same_outputs(config.profile, got, want)
+            # A budget of exactly the run's events lets it finish.
+            events = sum(counters[k] for k in ("forced_spikes", "detections", "misses", "suppressed"))
+            assert_same_outputs(config.profile, run(graph, dataclasses.replace(config, max_events=events)), want)
 
 
 class TestPowerReport:
@@ -805,11 +992,11 @@ class TestSomaTimeConstant:
         base = dict(duration=1e-3, seed=15, link=snspd_link(), inputs=pulses)
         fast = {(0, 1): {"tau": 1e-9, "weight": 0.6}}
         spikes, _, _ = run(chain_graph(), SimConfig(**base, synapse_overrides=fast))
-        assert spikes.neurons == [0, 0]
+        assert list(spikes.neurons) == [0, 0]
         spikes, _, _ = run(chain_graph(), SimConfig(**base, synapse_overrides={(0, 1): {"weight": 0.6}}))
-        assert spikes.neurons == [0, 0, 1]
+        assert list(spikes.neurons) == [0, 0, 1]
         edgeless = NetworkGraph(n=2, pre=np.array([], dtype=np.int64), post=np.array([], dtype=np.int64))
         spikes, _, _ = run(edgeless, SimConfig(**base, synapse_overrides=fast))
-        assert spikes.neurons == [0, 0]
+        assert list(spikes.neurons) == [0, 0]
         with pytest.raises(DomainError, match="synapse 0 tau"):
             run(chain_graph(), SimConfig(**base, synapse_overrides={(0, 1): {"tau": math.nan}}))
