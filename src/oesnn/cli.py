@@ -33,8 +33,10 @@ from .datasets import Dataset
 from .errors import ConfigError, DomainError, SimulationError
 from .figures import FIGURES, build_figure
 from .linkbudget import (
+    DEFAULT_WAVELENGTH,
     OpticalLink,
     ReceiverlessPhotodiode,
+    SnspdReceiver,
     implied_photon_count,
     link_source_energy,
     miss_probability,
@@ -57,6 +59,7 @@ from .membench import (
 from .netgen import validate_path_model
 from .platforms import (
     PROFILES,
+    SUPERCONDUCTING_4K,
     carnot_specific_power,
     cmos_max_time_constant,
     dpi_time_constant,
@@ -71,8 +74,9 @@ from .platforms import (
     ScTimeConstantSpec,
 )
 from .quantities import Quantity
+from .scaling import SYNAPSE_WIDTH, WAFER_DIAMETER, WAVEGUIDE_PITCH
 from .scaling import achievable_path_length, electronic_area, photonic_area, required_degree, required_planes
-from .simulator import SynapseReport, power_report, run
+from .simulator import EnergyParams, SynapseReport, power_report, run
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -110,7 +114,7 @@ def _singleton(label):
     return wrap
 
 
-_PHOTODIODE = ReceiverlessPhotodiode()  # its fields give the photodiode parameters' defaults
+_PHOTODIODE, _SNSPD, _ENERGY = ReceiverlessPhotodiode(), SnspdReceiver(), EnergyParams()  # fields give defaults
 
 FORMULAS: dict[str, Formula] = {
     "eq1": Formula(
@@ -127,7 +131,7 @@ FORMULAS: dict[str, Formula] = {
         "per-spike source optical energy nph*h*nu/eta",
         {
             "nph": (None, "mean photons at the receiver"),
-            "wavelength": (1.5e-6, "wavelength in metres"),
+            "wavelength": (DEFAULT_WAVELENGTH, "wavelength in metres"),
             "eta": (1.0, "end-to-end link efficiency"),
         },
         _singleton("source_energy")(lambda p: link_source_energy(p["nph"], p["wavelength"], p["eta"])),
@@ -138,7 +142,7 @@ FORMULAS: dict[str, Formula] = {
             "ctot": (_PHOTODIODE.c_tot, "total capacitance in farads"),
             "v": (_PHOTODIODE.v_swing, "switching voltage"),
             "eta": (1.0, "end-to-end link efficiency"),
-            "wavelength": (1.5e-6, "wavelength in metres"),
+            "wavelength": (DEFAULT_WAVELENGTH, "wavelength in metres"),
             "responsivity": (0.0, "A/W; 0 uses the quantum-limited value"),
         },
         lambda p: (
@@ -146,17 +150,11 @@ FORMULAS: dict[str, Formula] = {
                 "source_energy": receiverless_optical_energy(pd, p["eta"], p["wavelength"]),
                 "photons_at_receiver": implied_photon_count(pd, p["wavelength"]),
             }
-        )(
-            ReceiverlessPhotodiode(
-                c_tot=p["ctot"],
-                v_swing=p["v"],
-                responsivity=p["responsivity"] or None,
-            )
-        ),
+        )(ReceiverlessPhotodiode(c_tot=p["ctot"], v_swing=p["v"], responsivity=p["responsivity"] or None)),
     ),
     "reset-energy": Formula(
         "nanowire detector reset energy L*I^2/2",
-        {"l": (100e-9, "kinetic inductance in henries"), "i": (10e-6, "bias current in amperes")},
+        {"l": (_SNSPD.l_spd, "kinetic inductance in henries"), "i": (_SNSPD.i_spd, "bias current in amperes")},
         _singleton("reset_energy")(lambda p: snspd_reset_energy(p["l"], p["i"])),
     ),
     "static-power": Formula(
@@ -174,7 +172,7 @@ FORMULAS: dict[str, Formula] = {
             "ctot": (_PHOTODIODE.c_tot, "total capacitance in farads"),
             "v": (_PHOTODIODE.v_swing, "switching voltage"),
             "eta": (0.01, "end-to-end link efficiency"),
-            "wavelength": (1.5e-6, "wavelength in metres"),
+            "wavelength": (DEFAULT_WAVELENGTH, "wavelength in metres"),
         },
         lambda p: (
             lambda pd: {
@@ -192,9 +190,7 @@ FORMULAS: dict[str, Formula] = {
             "rate": (None, "spike rate in hertz"),
             "eta": (1.0, "end-to-end link efficiency"),
         },
-        _singleton("optical_power")(
-            lambda p: transmitter_power(p["fanout"], p["energy"], p["rate"], p["eta"])
-        ),
+        _singleton("optical_power")(lambda p: transmitter_power(p["fanout"], p["energy"], p["rate"], p["eta"])),
     ),
     "eq4": Formula(
         "lifetime weight updates L*f/sqrt(N)",
@@ -204,9 +200,7 @@ FORMULAS: dict[str, Formula] = {
             "fanin": (DEFAULT_ASSUMPTIONS.fanin, "synapses per neuron"),
         },
         _singleton("lifetime_updates")(
-            lambda p: lifetime_updates(
-                SystemAssumptions(lifetime=p["lifetime"], mean_rate=p["rate"], fanin=p["fanin"])
-            )
+            lambda p: lifetime_updates(SystemAssumptions(lifetime=p["lifetime"], mean_rate=p["rate"], fanin=p["fanin"]))
         ),
     ),
     "eq5": Formula(
@@ -231,12 +225,12 @@ FORMULAS: dict[str, Formula] = {
     ),
     "eq7": Formula(
         "per-neuron waveguide routing area (k*w_wg/p_p)^2",
-        {"k": (None, "degree"), "wwg": (2e-6, "waveguide pitch in metres"), "pp": (1.0, "photonic planes")},
+        {"k": (None, "degree"), "wwg": (WAVEGUIDE_PITCH, "waveguide pitch in metres"), "pp": (1.0, "photonic planes")},
         _singleton("photonic_area")(lambda p: photonic_area(p["k"], p["wwg"], p["pp"])),
     ),
     "eq8": Formula(
         "per-neuron synapse circuit area k*w_sy^2/p_e",
-        {"k": (None, "degree"), "wsy": (10e-6, "synapse width in metres"), "pe": (1.0, "electronic planes")},
+        {"k": (None, "degree"), "wsy": (SYNAPSE_WIDTH, "synapse width in metres"), "pe": (1.0, "electronic planes")},
         _singleton("electronic_area")(lambda p: electronic_area(p["k"], p["wsy"], p["pe"])),
     ),
     "planes": Formula(
@@ -244,9 +238,9 @@ FORMULAS: dict[str, Formula] = {
         {
             "n": (None, "neurons per wafer"),
             "L": (2.5, "target mean path length"),
-            "wwg": (2e-6, "waveguide pitch in metres"),
-            "wsy": (10e-6, "synapse width in metres"),
-            "d": (0.3, "wafer diameter in metres"),
+            "wwg": (WAVEGUIDE_PITCH, "waveguide pitch in metres"),
+            "wsy": (SYNAPSE_WIDTH, "synapse width in metres"),
+            "d": (WAFER_DIAMETER, "wafer diameter in metres"),
             "fill": (1.0, "usable area fraction"),
         },
         lambda p: (
@@ -255,27 +249,29 @@ FORMULAS: dict[str, Formula] = {
     ),
     "squid": Formula(
         "interference-loop size and two-fluxon energy from junction current",
-        {"ic": (300e-6, "junction critical current in amperes")},
-        lambda p: (
-            lambda s: {"w_sq": s.w_sq, "e_sq": s.e_sq, "l_sq": s.l_sq}
-        )(squid_from_critical_current(p["ic"])),
+        {"ic": (_ENERGY.i_c, "junction critical current in amperes")},
+        lambda p: (lambda s: {"w_sq": s.w_sq, "e_sq": s.e_sq, "l_sq": s.l_sq})(squid_from_critical_current(p["ic"])),
     ),
     "fluxons": Formula(
         "fluxons producible per synapse event inside an energy budget",
-        {"ebudget": (100e-18, "energy budget in joules"), "ic": (300e-6, "junction critical current")},
+        {"ebudget": (100e-18, "energy budget in joules"), "ic": (_ENERGY.i_c, "junction critical current")},
         _singleton("fluxons")(lambda p: fluxon_budget(p["ebudget"], p["ic"])),
     ),
     "carnot": Formula(
         "thermodynamic refrigeration floor (T_hot-T_cold)/T_cold",
-        {"thot": (300.0, "ambient temperature in kelvin"), "tcold": (4.2, "cold-stage temperature in kelvin")},
+        {
+            "thot": (SUPERCONDUCTING_4K.t_hot, "ambient temperature in kelvin"),
+            "tcold": (SUPERCONDUCTING_4K.t_cold, "cold-stage temperature in kelvin"),
+        },
         _singleton("specific_power")(lambda p: carnot_specific_power(p["thot"], p["tcold"])),
     ),
     "wall": Formula(
         "wall power (or energy) for a cold dissipation",
-        {"cold": (None, "cold-stage power in watts"), "specific": (1000.0, "refrigeration W per W")},
-        _singleton("wall_power")(
-            lambda p: Quantity(p["cold"] * p["specific"], (2, 1, -3, 0, 0))
-        ),
+        {
+            "cold": (None, "cold-stage power in watts"),
+            "specific": (SUPERCONDUCTING_4K.specific_power, "refrigeration W per W"),
+        },
+        _singleton("wall_power")(lambda p: Quantity(p["cold"] * p["specific"], (2, 1, -3, 0, 0))),
     ),
     "max-rate": Formula(
         "budget-limited mean spike rate P/(N*fanout*E)",
@@ -292,7 +288,7 @@ FORMULAS: dict[str, Formula] = {
         {
             "wsy": (None, "synapse width in metres"),
             "e": (None, "on-chip energy per synapse event in joules"),
-            "limit": (1e4, "power density limit in W/m^2"),
+            "limit": (SUPERCONDUCTING_4K.power_density_limit, "power density limit in W/m^2"),
         },
         _singleton("rate_limit")(lambda p: power_density_spike_limit(p["wsy"], p["e"], p["limit"])),
     ),
@@ -317,8 +313,7 @@ FORMULAS: dict[str, Formula] = {
         },
         _singleton("tau")(
             lambda p: cmos_max_time_constant(
-                p["w"],
-                CmosTimeConstantSpec(c_density=p["cdensity"], v_th=p["vth"], kappa=p["kappa"], i_tau=p["itau"]),
+                p["w"], CmosTimeConstantSpec(c_density=p["cdensity"], v_th=p["vth"], kappa=p["kappa"], i_tau=p["itau"])
             )
         ),
     ),

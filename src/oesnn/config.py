@@ -234,7 +234,7 @@ def _kind(doc: dict, where: str, kinds: dict, problems: list):
 
 
 def _network(net, synapse: SynapseDefaults | None, problems: list) -> tuple[dict, dict]:
-    """``network``: its checked keys, with the edge list as (pre, post) pairs, and the edge overrides."""
+    """``network``: its checked keys, with the edge list as (pre, post) pairs, and the overrides by edge index."""
     if not isinstance(net, dict):
         problems.append("scenario.network: required object is missing")
         return {}, {}
@@ -281,7 +281,7 @@ def _network(net, synapse: SynapseDefaults | None, problems: list) -> tuple[dict
             problems.append(f"{where}.level: {values['level']} exceeds the {bits}-bit range")
         pairs.append((pre, post))
         if values:
-            overrides[(pre, post)] = values
+            overrides[i] = values
     network["edges"] = pairs
     return network, overrides
 

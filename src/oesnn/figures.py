@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .datasets import Dataset
 from .errors import DomainError
-from .linkbudget import ReceiverlessPhotodiode, receiverless_optical_energy, transmitter_power
+from .linkbudget import DEFAULT_WAVELENGTH, ReceiverlessPhotodiode, receiverless_optical_energy, transmitter_power
 from .platforms import (
     CMOS_TIME_CONSTANT_DEFAULTS,
     SC_TIME_CONSTANT_DEFAULTS,
@@ -27,6 +27,7 @@ from .platforms import (
     max_average_spike_rate,
     sc_max_time_constant,
 )
+from .scaling import SYNAPSE_WIDTH, WAFER_DIAMETER, WAVEGUIDE_PITCH
 from .scaling import required_degree, required_planes, sweep_path_length_vs_width
 
 # Decade ladder (1, 1.5, 2, 3, 5, 7) from 1 um to 1 mm; hits the 10 um and
@@ -48,7 +49,7 @@ def fig3(
     c_tot: float = 1e-15,
     v_swing: float = 0.8,
     eta: float = 1.0,
-    wavelength: float = 1.5e-6,
+    wavelength: float = DEFAULT_WAVELENGTH,
     rate_min_hz: float = 1e3,
     rate_max_hz: float = 10e9,
     points: int = 36,
@@ -65,12 +66,12 @@ def fig3(
 
 def fig4(
     path_length: float = 2.5,
-    w_wg: float = 2e-6,
-    w_sy: float = 10e-6,
+    w_wg: float = WAVEGUIDE_PITCH,
+    w_sy: float = SYNAPSE_WIDTH,
     n_min: float = 1e4,
     n_max: float = 1e7,
     points: int = 31,
-    wafer_diameter: float = 0.3,
+    wafer_diameter: float = WAFER_DIAMETER,
     fill_factor: float = 1.0,
 ) -> Dataset:
     """Plane counts needed to hold a path length as wafer population grows."""
@@ -140,7 +141,7 @@ def fig9(
     n_300_list: tuple[float, ...] = (1e5, 1e6, 1e7),
     planes_list: tuple[float, ...] = (1.0, 10.0),
     widths_m: tuple[float, ...] = WIDTH_LADDER_M,
-    wafer_diameter: float = 0.3,
+    wafer_diameter: float = WAFER_DIAMETER,
     fill_factor: float = 1.0,
 ) -> Dataset:
     """Best achievable path length vs synapse width and waveguide pitch."""

@@ -16,6 +16,8 @@ from .errors import DomainError
 from .quantities import AREA, DIMENSIONLESS, EULER_GAMMA, LENGTH, Quantity, si_value
 
 WAFER_DIAMETER = 0.3  # m
+WAVEGUIDE_PITCH = 2e-6  # m
+SYNAPSE_WIDTH = 10e-6  # m
 
 
 def required_degree(n_total, path_length) -> float:
@@ -90,8 +92,8 @@ class PlaneRequirement:
 def required_planes(
     n_300,
     path_length,
-    w_wg=2e-6,
-    w_sy=10e-6,
+    w_wg=WAVEGUIDE_PITCH,
+    w_sy=SYNAPSE_WIDTH,
     wafer_diameter=WAFER_DIAMETER,
     fill_factor: float = 1.0,
 ) -> PlaneRequirement:

@@ -179,7 +179,7 @@ class SimConfig:
     profile: PlatformProfile = SUPERCONDUCTING_4K
     neuron: NeuronParams = NeuronParams()
     synapse: SynapseDefaults = SynapseDefaults()
-    synapse_overrides: dict = field(default_factory=dict)  # (pre, post) -> {field: value}
+    synapse_overrides: dict = field(default_factory=dict)  # edge index -> {field: value}, for that edge only
     plasticity: StdpParams | None = None
     inputs: tuple[InputDrive, ...] = ()
     energy: EnergyParams = EnergyParams()
@@ -362,36 +362,33 @@ class _Compiled:
 
 
 def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
-    """Per-edge arrays, link constants, the forced-spike stream and zeroed event counts."""
+    """Per-edge arrays, built from each distinct override once, link constants, the forced spikes and zeroed counts."""
     n_edges = graph.edge_count
     link = config.link
     is_snspd = isinstance(link.receiver, SnspdReceiver)
 
-    # The arrays of every edge without an override are filled without a pass over the edges.
-    defaults = config.synapse
-    default_group, default_level, default_weight = _initial_memory(defaults, None)
-    default_sign = -1.0 if defaults.inhibitory else 1.0
-    groups = {default_group: 0}
-    group = np.zeros(n_edges, dtype=np.intp)
-    level = np.full(n_edges, default_level, dtype=np.int64)
-    weight = np.full(n_edges, default_weight)
-    sign = np.full(n_edges, default_sign)
-    taus = [defaults.tau]
-    if config.synapse_overrides:
-        overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
-        for e, pair in enumerate(zip(graph.pre.tolist(), graph.post.tolist())):
-            ov = overrides.get(pair)
-            if ov is not None:
-                try:  # the record's bounds check the overrides, in edge order
-                    syn = dataclasses.replace(defaults, **{k: v for k, v in ov.items() if k != "level"})
-                    key, level[e], weight[e] = _initial_memory(syn, ov.get("level"))
-                except (DomainError, TypeError) as exc:  # a bound, or an unknown key or a bad type
-                    raise DomainError(f"synapse {e} {exc}") from None
-                taus.append(syn.tau)
-                sign[e] = -1.0 if syn.inhibitory else 1.0
-                group[e] = groups.setdefault(key, len(groups))
-        if 1 < len(taus) == n_edges + 1:  # every edge is overridden: none keeps the default
-            del taus[0]
+    defaults, overrides = config.synapse, config.synapse_overrides
+    for e in overrides:
+        if isinstance(e, bool) or not isinstance(e, (int, np.integer)) or not 0 <= e < n_edges:
+            raise DomainError(f"synapse override {e!r} names no edge: keys are edge indices in [0, {n_edges})")
+    # Row 0 is the defaults and each distinct override a row, built at its first edge: bounds are checked in
+    # edge order.  A row is keyed by the override's repr, since -0.0 == 0.0 but a weight keeps its sign.
+    edges, groups, rows, row_of, which = sorted(overrides), {}, [], {}, []
+    for e, ov in [(None, {}), *((e, overrides[e]) for e in edges)]:
+        which.append(row_of.setdefault(repr(ov), len(row_of)))
+        if which[-1] == len(rows):  # not built yet
+            try:
+                syn = dataclasses.replace(defaults, **{k: v for k, v in ov.items() if k != "level"})
+                memory_key, lvl, w = _initial_memory(syn, ov.get("level"))
+            except (DomainError, TypeError) as exc:  # a bound, or an unknown key or a bad type
+                raise DomainError(f"synapse {e} {exc}") from None
+            rows.append((groups.setdefault(memory_key, len(groups)), lvl, w, -1.0 if syn.inhibitory else 1.0, syn.tau))
+    row = np.zeros(n_edges, dtype=np.intp)  # each edge's row
+    row[edges] = which[1:]
+    *columns, taus = zip(*rows)
+    group, level, weight, sign = (np.array(column)[row] for column in columns)
+    # The slowest tau of the rows in use; an edgeless graph uses none, and keeps the default.
+    taus = [taus[i] for i in np.flatnonzero(np.bincount(row, minlength=len(rows))).tolist()] or [defaults.tau]
     tau_soma = float(max(taus)) if config.neuron.tau_soma is None else config.neuron.tau_soma
 
     trains = []
@@ -522,6 +519,9 @@ def _loop(c: _Compiled) -> None:
         try:
             applied = memory.write(e, pre_t, post_t, plasticity, rng_noise)
         except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
+            t, kind, what = trace[-1]
+            if kind == "arrivals":  # the batch ran up to its arrival at post[e], the one being handled
+                trace[-1] = (t, kind, what[: int(np.flatnonzero(post[what] == post[e])[0]) + 1])
             raise SimulationError(f"synapse {e}: {exc}", tail()) from None
         if applied == 0.0:
             return

@@ -61,10 +61,9 @@ def _memory_cell(ov: dict, defaults: SynapseDefaults) -> MemoryCell:
 
 def initial_cells(graph, config) -> list[MemoryCell]:
     """Every edge's initial memory cell; cells are immutable, so edges without an override share one."""
-    overrides = {tuple(k): v for k, v in config.synapse_overrides.items()}
+    overrides = config.synapse_overrides
     default = _memory_cell({}, config.synapse)
-    pairs = zip(graph.pre.tolist(), graph.post.tolist())
-    return [_memory_cell(overrides[pair], config.synapse) if pair in overrides else default for pair in pairs]
+    return [_memory_cell(overrides[e], config.synapse) if e in overrides else default for e in range(graph.edge_count)]
 
 
 def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyLedger]:

@@ -12,9 +12,11 @@ from oesnn import cli
 from oesnn.cli import main
 from oesnn.config import build_scenario, load_scenario
 from oesnn.datasets import read_csv, read_json
-from oesnn.linkbudget import ReceiverlessPhotodiode
+from oesnn.linkbudget import DEFAULT_WAVELENGTH, ReceiverlessPhotodiode, SnspdReceiver
 from oesnn.membench import SystemAssumptions
-from oesnn.platforms import CmosTimeConstantSpec, ScTimeConstantSpec
+from oesnn.platforms import SUPERCONDUCTING_4K, CmosTimeConstantSpec, ScTimeConstantSpec
+from oesnn.scaling import SYNAPSE_WIDTH, WAFER_DIAMETER, WAVEGUIDE_PITCH
+from oesnn.simulator import EnergyParams
 
 
 def run_cli(capsys, *argv):
@@ -113,7 +115,7 @@ class TestCalc:
         assert f"the {what} is out of float range" in err
 
 
-# calc parameter -> record field, for the formulas whose defaults are a record's.
+# calc parameter -> record field, for the formulas whose defaults are a record's fields.
 _PHOTODIODE_PARAMS = {"ctot": "c_tot", "v": "v_swing", "vbias": "v_bias", "ileak": "i_leak"}
 _ASSUMPTION_PARAMS = {"lifetime": "lifetime", "rate": "mean_rate", "fanin": "fanin", "eopt": "e_opt"}
 _CMOS_PARAMS = {"cdensity": "c_density", "vth": "v_th", "kappa": "kappa", "itau": "i_tau"}
@@ -127,15 +129,31 @@ _RECORD_DEFAULTS = {
     "tau-dpi": (CmosTimeConstantSpec, _CMOS_PARAMS),
     "tau-cmos": (CmosTimeConstantSpec, _CMOS_PARAMS),
     "tau-sc": (ScTimeConstantSpec, _SC_PARAMS),
+    "reset-energy": (SnspdReceiver, {"l": "l_spd", "i": "i_spd"}),
+    "squid": (EnergyParams, {"ic": "i_c"}),
+    "fluxons": (EnergyParams, {"ic": "i_c"}),
+}
+# calc parameter -> the module constant its default stands for.
+_CONSTANT_DEFAULTS = {
+    "eq2": {"wavelength": DEFAULT_WAVELENGTH},
+    "eq3": {"wavelength": DEFAULT_WAVELENGTH},
+    "static-crossover": {"wavelength": DEFAULT_WAVELENGTH},
+    "eq7": {"wwg": WAVEGUIDE_PITCH},
+    "eq8": {"wsy": SYNAPSE_WIDTH},
+    "planes": {"wwg": WAVEGUIDE_PITCH, "wsy": SYNAPSE_WIDTH, "d": WAFER_DIAMETER},
+    "carnot": {"thot": SUPERCONDUCTING_4K.t_hot, "tcold": SUPERCONDUCTING_4K.t_cold},
+    "wall": {"specific": SUPERCONDUCTING_4K.specific_power},
+    "density-rate": {"limit": SUPERCONDUCTING_4K.power_density_limit},
 }
 
 
-@pytest.mark.parametrize("formula", sorted(_RECORD_DEFAULTS))
+@pytest.mark.parametrize("formula", sorted(_RECORD_DEFAULTS.keys() | _CONSTANT_DEFAULTS.keys()))
 def test_calc_defaults_are_record_defaults(formula):
-    record, params = _RECORD_DEFAULTS[formula]
-    defaults = {f.name: f.default for f in dataclasses.fields(record)}
-    shared = {name: default for name, (default, _) in cli.FORMULAS[formula].params.items() if name in params}
-    assert shared and shared == {name: defaults[params[name]] for name in shared}
+    record, params = _RECORD_DEFAULTS.get(formula, (None, {}))
+    defaults = {f.name: f.default for f in dataclasses.fields(record)} if record else {}
+    want = {name: defaults[field] for name, field in params.items()} | _CONSTANT_DEFAULTS.get(formula, {})
+    shared = {name: default for name, (default, _) in cli.FORMULAS[formula].params.items() if name in want}
+    assert shared and shared == {name: want[name] for name in shared}
 
 
 class TestFigure:

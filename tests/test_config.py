@@ -183,6 +183,7 @@ class TestBuild:
         doc = minimal_doc()
         doc["network"]["edges"][0].update({"weight": 0.25, "memory_kind": "loop", "bits": 4})
         graph, config = build_scenario(doc)
+        assert config.synapse_overrides == {0: {"weight": 0.25, "memory_kind": "loop", "bits": 4}}  # by edge index
         _, _, report = run(graph, config)
         assert report.memory.level[0] == round(0.25 * 15)
 

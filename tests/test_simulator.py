@@ -297,9 +297,9 @@ class TestLedgerExactness:
         # only potentiates, so the loop levels moved are the final levels
         # less the initial ones.
         overrides = {
-            (0, 1): {"memory_kind": "loop", "bits": 10, "weight": 0.25},
-            (0, 2): {"memory_kind": "loop", "bits": 4, "level": 3},
-            (0, 3): {"weight": 0.3},
+            0: {"memory_kind": "loop", "bits": 10, "weight": 0.25},
+            1: {"memory_kind": "loop", "bits": 4, "level": 3},
+            2: {"weight": 0.3},
         }
         plasticity = None
         if write_energy != "no plasticity":
@@ -462,7 +462,7 @@ class TestInhibition:
             link=snspd_link(),
             neuron=NeuronParams(threshold=1.0),
             synapse=SynapseDefaults(tau=1e-6, weight=0.6),
-            synapse_overrides={(1, 2): {"inhibitory": True, "weight": 0.6}},
+            synapse_overrides={1: {"inhibitory": True, "weight": 0.6}},
             inputs=(
                 InputDrive(neuron=0, times=(1e-6, 2e-6)),
                 InputDrive(neuron=1, times=(1e-6, 2e-6)),
@@ -604,9 +604,9 @@ class TestGuards:
         bad_tau = {"tau": -1.0}
         base = dict(duration=1e-3, seed=16, link=snspd_link())
         with pytest.raises(DomainError, match="write_noise_std"):
-            run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): bad_noise, (1, 2): bad_tau}))
+            run(two_input_graph(), SimConfig(**base, synapse_overrides={0: bad_noise, 1: bad_tau}))
         with pytest.raises(DomainError, match="synapse 0 tau"):
-            run(two_input_graph(), SimConfig(**base, synapse_overrides={(0, 2): bad_tau, (1, 2): bad_noise}))
+            run(two_input_graph(), SimConfig(**base, synapse_overrides={0: bad_tau, 1: bad_noise}))
 
     @pytest.mark.parametrize(
         "override, problem",
@@ -620,10 +620,59 @@ class TestGuards:
     )
     def test_override_errors_name_the_synapse(self, override, problem):
         # Each override replaces fields of the synapse defaults, so the record checks it.
-        config = SimConfig(duration=1e-3, seed=16, link=snspd_link(), synapse_overrides={(1, 2): override})
+        config = SimConfig(duration=1e-3, seed=16, link=snspd_link(), synapse_overrides={1: override})
         with pytest.raises(DomainError) as err:
             run(two_input_graph(), config)
         assert str(err.value) == problem
+
+    def test_fault_trace_ends_at_the_faulting_arrival(self):
+        # Neurons 1 to 3 spike first, so each arrival of the fan depresses its edge.  The second
+        # spike of neuron 0 is the second write of edge 0, past its endurance of 1: the trace
+        # ends with that arrival, and lists none of the batch's later arrivals, which never ran.
+        config = SimConfig(
+            duration=1e-5,
+            seed=17,
+            link=snspd_link(),
+            synapse=SynapseDefaults(weight=0.2, endurance=1),
+            plasticity=StdpParams(a_plus=0.05, a_minus=0.05, tau_plus=1e-6, tau_minus=1e-6, on_exhaustion="fault"),
+            inputs=(
+                InputDrive(neuron=0, times=(1e-6, 2e-6)),
+                *[InputDrive(neuron=v, times=(5e-7,)) for v in (1, 2, 3)],
+            ),
+        )
+        errors = []
+        for simulate in (run, reference_run):
+            with pytest.raises(SimulationError, match="synapse 0: analog memory endurance exhausted") as err:
+                simulate(fan_graph(3), config)
+            errors.append(err.value.trace_tail)
+        assert errors[0][-1] == (2e-6 + 5e-8, "arrival", 0)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("key", [2, -1, (0, 2), True])
+    def test_override_naming_no_edge_raises(self, key):
+        # An override is keyed by edge index; any other key, a (pre, post) pair or a bool
+        # included, names no edge, and is refused before any override is built.
+        overrides = {0: {"tau": -1.0}, key: {"tau": -1.0, "bogus": 3}}
+        config = SimConfig(duration=1e-3, seed=16, link=snspd_link(), synapse_overrides=overrides)
+        with pytest.raises(DomainError) as err:
+            run(two_input_graph(), config)
+        assert str(err.value) == f"synapse override {key!r} names no edge: keys are edge indices in [0, 2)"
+
+    def test_each_distinct_override_built_once(self, monkeypatch):
+        # On a 40-edge fan, each odd edge holds its own copy of one override and each even edge
+        # but edge 0 a copy of another; edge 0 keeps the defaults.
+        calls = []
+        initial_memory = simulator._initial_memory
+        monkeypatch.setattr(simulator, "_initial_memory", lambda *a: calls.append(a) or initial_memory(*a))
+        loop, inhibitory = {"memory_kind": "loop", "bits": 4, "level": 9}, {"inhibitory": True, "weight": 0.3}
+        overrides = {e: dict(loop) if e % 2 else dict(inhibitory) for e in range(1, 40)}
+        config = SimConfig(duration=1e-3, seed=16, link=snspd_link(), synapse_overrides=overrides)
+        c = _compile(fan_graph(40), config)
+        assert len(calls) == 3  # the defaults, and each distinct override
+        assert c.memory.level.tolist() == [-1] + [9 if e % 2 else -1 for e in range(1, 40)]
+        assert c.sign.tolist() == [1.0] + [1.0 if e % 2 else -1.0 for e in range(1, 40)]
+        assert c.memory.weight.tolist() == [0.5] + [0.6 if e % 2 else 0.3 for e in range(1, 40)]
+        assert len(c.memory.groups) == 2
 
     def test_bits_bounded(self):
         with pytest.raises(DomainError, match="bits"):
@@ -711,8 +760,7 @@ class TestBatchedArrivals:
                 photodiode = dataclasses.replace(photodiode, stochastic=False)
             config = dataclasses.replace(config, link=photodiode, profile=SEMICONDUCTOR_300K)
         elif case == "dead-time-inhibitory":
-            pairs = zip(graph.pre[::4].tolist(), graph.post[::4].tolist())
-            inhibitory = {pair: {"inhibitory": True} for pair in pairs}
+            inhibitory = {e: {"inhibitory": True} for e in range(0, graph.edge_count, 4)}
             config = dataclasses.replace(
                 config,
                 link=snspd_link(stochastic=True, receiver=SnspdReceiver(reset_time=2e-6)),
@@ -810,8 +858,9 @@ def small_runs(draw):
         inhibitory=draw(st.integers(0, 3)) == 3,
         **draw(memory_fields()),
     )
-    overrides = {}
-    for pair in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs else ():
+    # A few override dicts, each held by one or more edges, so that an override built once serves several.
+    shared = []
+    for _ in range(draw(st.integers(1, 3))):
         ov = {"inhibitory": draw(st.booleans()), "tau": draw(st.sampled_from([1e-7, 3e-7, 1e-6]))}
         if draw(st.booleans()):
             ov.update(draw(memory_fields()))
@@ -819,7 +868,10 @@ def small_runs(draw):
                 ov["level"] = draw(st.integers(0, 2 ** ov["bits"] - 1))
             else:
                 ov["weight"] = draw(weights)
-        overrides[pair] = ov
+        shared.append(ov)
+    overrides = {}
+    for e in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=8, unique=True)) if pairs else ():
+        overrides[e] = draw(st.sampled_from(shared))
 
     if draw(st.integers(0, 2)) < 2:
         receiver = SnspdReceiver(reset_time=GRID * draw(st.sampled_from([32, 4, 1, 0])))
@@ -896,12 +948,10 @@ class TestLoopFuzz:
         got, want = outcomes
         assert type(got) is type(want), (got, want)
         if isinstance(want, SimulationError):
-            # The message names the exceeded budget or the faulting synapse.  An
-            # STDP fault in run() lists the whole batch it stopped in, so only
-            # an exceeded budget lists the same events.
+            # The message names the exceeded budget or the faulting synapse, and
+            # the trace ends with the last event that ran.
             assert str(got).split("\n")[0] == str(want).split("\n")[0]
-            if "event budget" in str(want):
-                assert got.trace_tail == want.trace_tail
+            assert got.trace_tail == want.trace_tail
         else:
             counters = assert_same_outputs(config.profile, got, want)
             # A budget of exactly the run's events lets it finish.
@@ -986,17 +1036,17 @@ class TestSomaTimeConstant:
 
     def test_slowest_synapse_counts_every_edge(self):
         # A 1 ns override on the only edge leaves the 1 us default out, so
-        # two 0.6 pulses 100 ns apart do not add up; overrides naming no
-        # edge of an edgeless graph leave the default in.
+        # two 0.6 pulses 100 ns apart do not add up; an edgeless graph has
+        # no edge for an override to name.
         pulses = (InputDrive(neuron=0, times=(1e-6, 1.1e-6)),)
         base = dict(duration=1e-3, seed=15, link=snspd_link(), inputs=pulses)
-        fast = {(0, 1): {"tau": 1e-9, "weight": 0.6}}
+        fast = {0: {"tau": 1e-9, "weight": 0.6}}
         spikes, _, _ = run(chain_graph(), SimConfig(**base, synapse_overrides=fast))
         assert list(spikes.neurons) == [0, 0]
-        spikes, _, _ = run(chain_graph(), SimConfig(**base, synapse_overrides={(0, 1): {"weight": 0.6}}))
+        spikes, _, _ = run(chain_graph(), SimConfig(**base, synapse_overrides={0: {"weight": 0.6}}))
         assert list(spikes.neurons) == [0, 0, 1]
         edgeless = NetworkGraph(n=2, pre=np.array([], dtype=np.int64), post=np.array([], dtype=np.int64))
-        spikes, _, _ = run(edgeless, SimConfig(**base, synapse_overrides=fast))
-        assert list(spikes.neurons) == [0, 0]
+        with pytest.raises(DomainError, match="names no edge"):
+            run(edgeless, SimConfig(**base, synapse_overrides=fast))
         with pytest.raises(DomainError, match="synapse 0 tau"):
-            run(chain_graph(), SimConfig(**base, synapse_overrides={(0, 1): {"tau": math.nan}}))
+            run(chain_graph(), SimConfig(**base, synapse_overrides={0: {"tau": math.nan}}))
