@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +93,14 @@ def _out_dir(arg: str | None) -> Path:
     return path
 
 
+def _dumps(doc: dict, problem: str) -> str:
+    """``doc`` as indented JSON.  JSON holds no inf or nan, so a value out of float range is a usage error."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise UsageError(problem) from None
+
+
 # ---------------------------------------------------------------------------
 # calc
 
@@ -104,28 +112,18 @@ class Formula:
     compute: callable
 
 
-def _singleton(label):
-    def wrap(fn):
-        def compute(p):
-            return {label: fn(p)}
-
-        return compute
-
-    return wrap
-
-
 _PHOTODIODE, _SNSPD, _ENERGY = ReceiverlessPhotodiode(), SnspdReceiver(), EnergyParams()  # fields give defaults
 
 FORMULAS: dict[str, Formula] = {
     "eq1": Formula(
         "single-photon receiver miss probability exp(-nph*etad)",
         {"nph": (None, "mean photons at the receiver"), "etad": (None, "detection efficiency")},
-        _singleton("miss_probability")(lambda p: miss_probability(p["nph"], p["etad"])),
+        lambda p: {"miss_probability": miss_probability(p["nph"], p["etad"])},
     ),
     "photons": Formula(
         "mean photons needed for a detection reliability",
         {"p": (None, "required detection probability"), "etad": (None, "detection efficiency")},
-        _singleton("photons")(lambda p: photons_for_reliability(p["p"], p["etad"])),
+        lambda p: {"photons": photons_for_reliability(p["p"], p["etad"])},
     ),
     "eq2": Formula(
         "per-spike source optical energy nph*h*nu/eta",
@@ -134,7 +132,7 @@ FORMULAS: dict[str, Formula] = {
             "wavelength": (DEFAULT_WAVELENGTH, "wavelength in metres"),
             "eta": (1.0, "end-to-end link efficiency"),
         },
-        _singleton("source_energy")(lambda p: link_source_energy(p["nph"], p["wavelength"], p["eta"])),
+        lambda p: {"source_energy": link_source_energy(p["nph"], p["wavelength"], p["eta"])},
     ),
     "eq3": Formula(
         "receiverless photodiode per-spike source energy C*V/(eta*R)",
@@ -155,14 +153,14 @@ FORMULAS: dict[str, Formula] = {
     "reset-energy": Formula(
         "nanowire detector reset energy L*I^2/2",
         {"l": (_SNSPD.l_spd, "kinetic inductance in henries"), "i": (_SNSPD.i_spd, "bias current in amperes")},
-        _singleton("reset_energy")(lambda p: snspd_reset_energy(p["l"], p["i"])),
+        lambda p: {"reset_energy": snspd_reset_energy(p["l"], p["i"])},
     ),
     "static-power": Formula(
         "photodiode static dissipation V_bias*I_leak",
         {"vbias": (_PHOTODIODE.v_bias, "bias voltage"), "ileak": (_PHOTODIODE.i_leak, "leakage current in amperes")},
-        _singleton("static_power")(
-            lambda p: photodiode_static_power(ReceiverlessPhotodiode(v_bias=p["vbias"], i_leak=p["ileak"]))
-        ),
+        lambda p: {
+            "static_power": photodiode_static_power(ReceiverlessPhotodiode(v_bias=p["vbias"], i_leak=p["ileak"]))
+        },
     ),
     "static-crossover": Formula(
         "spike rate below which photodiode leakage dominates the link energy",
@@ -190,7 +188,7 @@ FORMULAS: dict[str, Formula] = {
             "rate": (None, "spike rate in hertz"),
             "eta": (1.0, "end-to-end link efficiency"),
         },
-        _singleton("optical_power")(lambda p: transmitter_power(p["fanout"], p["energy"], p["rate"], p["eta"])),
+        lambda p: {"optical_power": transmitter_power(p["fanout"], p["energy"], p["rate"], p["eta"])},
     ),
     "eq4": Formula(
         "lifetime weight updates L*f/sqrt(N)",
@@ -199,9 +197,11 @@ FORMULAS: dict[str, Formula] = {
             "rate": (DEFAULT_ASSUMPTIONS.mean_rate, "mean spike rate in hertz"),
             "fanin": (DEFAULT_ASSUMPTIONS.fanin, "synapses per neuron"),
         },
-        _singleton("lifetime_updates")(
-            lambda p: lifetime_updates(SystemAssumptions(lifetime=p["lifetime"], mean_rate=p["rate"], fanin=p["fanin"]))
-        ),
+        lambda p: {
+            "lifetime_updates": lifetime_updates(
+                SystemAssumptions(lifetime=p["lifetime"], mean_rate=p["rate"], fanin=p["fanin"])
+            )
+        },
     ),
     "eq5": Formula(
         "largest per-write energy sqrt(N)*E_opt",
@@ -209,29 +209,27 @@ FORMULAS: dict[str, Formula] = {
             "fanin": (DEFAULT_ASSUMPTIONS.fanin, "synapses per neuron"),
             "eopt": (DEFAULT_ASSUMPTIONS.e_opt, "per-spike optical energy in joules"),
         },
-        _singleton("max_update_energy")(
-            lambda p: max_update_energy(SystemAssumptions(fanin=p["fanin"], e_opt=p["eopt"]))
-        ),
+        lambda p: {"max_update_energy": max_update_energy(SystemAssumptions(fanin=p["fanin"], e_opt=p["eopt"]))},
     ),
     "eq6": Formula(
         "mean degree for a target path length",
         {"n": (None, "network size"), "L": (None, "target mean path length")},
-        _singleton("degree")(lambda p: required_degree(p["n"], p["L"])),
+        lambda p: {"degree": required_degree(p["n"], p["L"])},
     ),
     "path-length": Formula(
         "mean path length at a given degree",
         {"n": (None, "network size"), "k": (None, "mean degree")},
-        _singleton("path_length")(lambda p: achievable_path_length(p["n"], p["k"])),
+        lambda p: {"path_length": achievable_path_length(p["n"], p["k"])},
     ),
     "eq7": Formula(
         "per-neuron waveguide routing area (k*w_wg/p_p)^2",
         {"k": (None, "degree"), "wwg": (WAVEGUIDE_PITCH, "waveguide pitch in metres"), "pp": (1.0, "photonic planes")},
-        _singleton("photonic_area")(lambda p: photonic_area(p["k"], p["wwg"], p["pp"])),
+        lambda p: {"photonic_area": photonic_area(p["k"], p["wwg"], p["pp"])},
     ),
     "eq8": Formula(
         "per-neuron synapse circuit area k*w_sy^2/p_e",
         {"k": (None, "degree"), "wsy": (SYNAPSE_WIDTH, "synapse width in metres"), "pe": (1.0, "electronic planes")},
-        _singleton("electronic_area")(lambda p: electronic_area(p["k"], p["wsy"], p["pe"])),
+        lambda p: {"electronic_area": electronic_area(p["k"], p["wsy"], p["pe"])},
     ),
     "planes": Formula(
         "photonic/electronic plane counts for a wafer population",
@@ -255,7 +253,7 @@ FORMULAS: dict[str, Formula] = {
     "fluxons": Formula(
         "fluxons producible per synapse event inside an energy budget",
         {"ebudget": (100e-18, "energy budget in joules"), "ic": (_ENERGY.i_c, "junction critical current")},
-        _singleton("fluxons")(lambda p: fluxon_budget(p["ebudget"], p["ic"])),
+        lambda p: {"fluxons": fluxon_budget(p["ebudget"], p["ic"])},
     ),
     "carnot": Formula(
         "thermodynamic refrigeration floor (T_hot-T_cold)/T_cold",
@@ -263,7 +261,7 @@ FORMULAS: dict[str, Formula] = {
             "thot": (SUPERCONDUCTING_4K.t_hot, "ambient temperature in kelvin"),
             "tcold": (SUPERCONDUCTING_4K.t_cold, "cold-stage temperature in kelvin"),
         },
-        _singleton("specific_power")(lambda p: carnot_specific_power(p["thot"], p["tcold"])),
+        lambda p: {"specific_power": carnot_specific_power(p["thot"], p["tcold"])},
     ),
     "wall": Formula(
         "wall power (or energy) for a cold dissipation",
@@ -271,7 +269,7 @@ FORMULAS: dict[str, Formula] = {
             "cold": (None, "cold-stage power in watts"),
             "specific": (SUPERCONDUCTING_4K.specific_power, "refrigeration W per W"),
         },
-        _singleton("wall_power")(lambda p: Quantity(p["cold"] * p["specific"], (2, 1, -3, 0, 0))),
+        lambda p: {"wall_power": Quantity(p["cold"] * p["specific"], (2, 1, -3, 0, 0))},
     ),
     "max-rate": Formula(
         "budget-limited mean spike rate P/(N*fanout*E)",
@@ -281,7 +279,7 @@ FORMULAS: dict[str, Formula] = {
             "fanout": (1000.0, "synapses per neuron"),
             "e": (None, "wall energy per synapse event in joules"),
         },
-        _singleton("max_rate")(lambda p: max_average_spike_rate(p["budget"], p["n"], p["fanout"], p["e"])),
+        lambda p: {"max_rate": max_average_spike_rate(p["budget"], p["n"], p["fanout"], p["e"])},
     ),
     "density-rate": Formula(
         "spike rate at the areal heat-removal ceiling",
@@ -290,7 +288,7 @@ FORMULAS: dict[str, Formula] = {
             "e": (None, "on-chip energy per synapse event in joules"),
             "limit": (SUPERCONDUCTING_4K.power_density_limit, "power density limit in W/m^2"),
         },
-        _singleton("rate_limit")(lambda p: power_density_spike_limit(p["wsy"], p["e"], p["limit"])),
+        lambda p: {"rate_limit": power_density_spike_limit(p["wsy"], p["e"], p["limit"])},
     ),
     "tau-dpi": Formula(
         "leaky-integrator time constant C*V_th/(kappa*I_tau)",
@@ -300,7 +298,7 @@ FORMULAS: dict[str, Formula] = {
             "kappa": (CMOS_TIME_CONSTANT_DEFAULTS.kappa, "subthreshold slope factor"),
             "itau": (CMOS_TIME_CONSTANT_DEFAULTS.i_tau, "leak current in amperes"),
         },
-        _singleton("tau")(lambda p: dpi_time_constant(p["c"], p["vth"], p["kappa"], p["itau"])),
+        lambda p: {"tau": dpi_time_constant(p["c"], p["vth"], p["kappa"], p["itau"])},
     ),
     "tau-cmos": Formula(
         "largest CMOS time constant in a synapse footprint",
@@ -311,11 +309,11 @@ FORMULAS: dict[str, Formula] = {
             "kappa": (CMOS_TIME_CONSTANT_DEFAULTS.kappa, "subthreshold slope factor"),
             "itau": (CMOS_TIME_CONSTANT_DEFAULTS.i_tau, "leak current in amperes"),
         },
-        _singleton("tau")(
-            lambda p: cmos_max_time_constant(
+        lambda p: {
+            "tau": cmos_max_time_constant(
                 p["w"], CmosTimeConstantSpec(c_density=p["cdensity"], v_th=p["vth"], kappa=p["kappa"], i_tau=p["itau"])
             )
-        ),
+        },
     ),
     "tau-sc": Formula(
         "largest superconducting L/r time constant in a synapse footprint",
@@ -326,11 +324,11 @@ FORMULAS: dict[str, Formula] = {
             "wwire": (SC_TIME_CONSTANT_DEFAULTS.w_wire, "wire width in metres"),
             "wgap": (SC_TIME_CONSTANT_DEFAULTS.w_gap, "gap width in metres"),
         },
-        _singleton("tau")(
-            lambda p: sc_max_time_constant(
+        lambda p: {
+            "tau": sc_max_time_constant(
                 p["w"], ScTimeConstantSpec(l_square=p["lsq"], r_s=p["rs"], w_wire=p["wwire"], w_gap=p["wgap"])
             )
-        ),
+        },
     ),
 }
 
@@ -385,17 +383,13 @@ def cmd_calc(args) -> int:
         raise UsageError(f"unknown formula {args.formula!r}; available formulas:\n{known}")
     formula = FORMULAS[args.formula]
     params, fmt = _parse_calc_params(formula, args.params)
-    results = formula.compute(params)
+    results = {k: _result_entry(v) for k, v in formula.compute(params).items()}
+    doc = {"formula": args.formula, "params": params, "results": results}
+    text = _dumps(doc, f"a result of {args.formula} is out of float range")
     if fmt == "json":
-        doc = {
-            "formula": args.formula,
-            "params": params,
-            "results": {k: _result_entry(v) for k, v in results.items()},
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(text)
     else:
-        for label, value in results.items():
-            entry = _result_entry(value)
+        for label, entry in results.items():
             unit = "" if entry["unit"] == "-" else f" {entry['unit']}"
             print(f"{label} = {entry['value']:.6g}{unit}")
     return 0
@@ -552,16 +546,7 @@ def cmd_validate(args) -> int:
         tolerance=args.tolerance,
         sample_sources=args.sample_sources,
     )
-    columns = (
-        "n",
-        "degree",
-        "seeds",
-        "predicted",
-        "empirical_mean",
-        "rel_error",
-        "min_reachable_fraction",
-        "within_tolerance",
-    )
+    columns = tuple(rows[0])  # the grid is never empty
     dataset = Dataset(
         name="path-model-validation",
         columns=columns,
@@ -610,17 +595,10 @@ def cmd_membench(args) -> int:
             raise UsageError(f"no technology named {args.name!r} in the table")
     t = targets(assumptions)
     reports = [score_technology(tech, assumptions) for tech in techs]
+    doc = {"targets": asdict(t), "technologies": [r.as_dict() for r in reports]}
+    text = _dumps(doc, "the memory targets or scores are out of float range")
     if args.format == "json":
-        doc = {
-            "targets": {
-                "endurance": t.endurance,
-                "update_energy": t.update_energy,
-                "update_time": t.update_time,
-                "precision_bits": list(t.precision_bits),
-            },
-            "technologies": [r.as_dict() for r in reports],
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(text)
         return 0
     print(
         f"targets: endurance >= {t.endurance:.3g} writes, update energy <= {t.update_energy:.3g} J, "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -54,6 +55,8 @@ class Dataset:
         for r in self.rows:
             if len(r) != len(self.columns):
                 raise DomainError(f"dataset {self.name!r}: row width {len(r)} != {len(self.columns)}")
+            if not all(math.isfinite(v) for v in r if isinstance(v, float)):  # JSON holds no inf or nan
+                raise DomainError(f"dataset {self.name!r}: a value is out of float range in row {r!r}")
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

@@ -144,28 +144,14 @@ def fig9(
     wafer_diameter: float = WAFER_DIAMETER,
     fill_factor: float = 1.0,
 ) -> Dataset:
-    """Best achievable path length vs synapse width and waveguide pitch."""
-    rows = []
-    for axis in axes:
-        for r in sweep_path_length_vs_width(
-            axis, n_300_list, planes_list, widths_m, wafer_diameter, fill_factor
-        ):
-            rows.append(
-                (
-                    r["axis"],
-                    r["n_300"],
-                    r["planes"],
-                    r["width_m"],
-                    r["max_degree"],
-                    r["path_length"] if math.isfinite(r["path_length"]) else -1.0,
-                    r["feasible"],
-                )
-            )
-    return Dataset(
-        name="path-length-vs-feature-size",
-        columns=("axis", "n_300", "planes", "width_m", "max_degree", "path_length", "feasible"),
-        rows=rows,
-    )
+    """Best achievable path length vs synapse width and waveguide pitch; -1 marks an infeasible point."""
+    columns = ("axis", "n_300", "planes", "width_m", "max_degree", "path_length", "feasible")
+    rows = [
+        tuple(-1.0 if c == "path_length" and not math.isfinite(r[c]) else r[c] for c in columns)
+        for axis in axes
+        for r in sweep_path_length_vs_width(axis, n_300_list, planes_list, widths_m, wafer_diameter, fill_factor)
+    ]
+    return Dataset(name="path-length-vs-feature-size", columns=columns, rows=rows)
 
 
 FIGURES = {

@@ -347,7 +347,7 @@ class _Compiled:
     fluxon_energy: float
     forced: Iterator[tuple[float, int]]  # (time, neuron) of the drive spikes in (time, drive, position) order
     e_source: float
-    p_detect: float
+    p_detect: float  # a single-photon link's; 1.0 for a photodiode, which draws against poisson_need
     poisson_need: int | None  # photons a stochastic photodiode needs; None otherwise
     dead_time: float
     e_reset: float
@@ -420,7 +420,7 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         fluxon_energy=config.energy.i_c * FLUX_QUANTUM.value,
         forced=heapq.merge(*trains, key=itemgetter(0)),  # stable: at equal times, drives keep their order
         e_source=source_energy_per_spike(link).value,
-        p_detect=link_detection_probability(link),
+        p_detect=link_detection_probability(link) if is_snspd else 1.0,
         poisson_need=poisson_need,
         dead_time=link.receiver.reset_time if is_snspd else 0.0,
         e_reset=snspd_reset_energy(link.receiver.l_spd, link.receiver.i_spd).value if is_snspd else 0.0,

@@ -227,6 +227,12 @@ class TestFigure:
         assert "grid" in err
         assert not (tmp_path / f"{fig}.csv").exists()
 
+    def test_fig9_without_axes_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "figure", "fig9", "--out", str(tmp_path), "--set", "axes=[]")
+        assert code == 2 and out == ""
+        assert "has no rows" in err and "Traceback" not in err
+        assert not (tmp_path / "fig9.csv").exists()
+
 
 # Edge counts around the ledger writer's block size: one, a block less one, a block,
 # a block and one, and two blocks and one.
@@ -650,3 +656,24 @@ class TestMembench:
         code, out, err = run_cli(capsys, "membench", "--tech", str(path))
         assert code == 3 and out == ""
         assert problem in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calc", "carnot", "--thot", "1e308", "--tcold", "1e-308", "--format", "json"),
+        ("calc", "eq2", "--nph", "1e308", "--eta", "1e-300"),
+        ("membench", "--lifetime", "inf", "--format", "json"),
+        ("membench", "--fanin", "1e308", "--eopt", "1e300"),
+        ("figure", "fig3", "--set", "fanout=1e300", "--set", "rate_max_hz=1e300"),
+        ("figure", "fig3", "--set", "fanout=1e300", "--set", "rate_max_hz=1e300", "--format", "json"),
+    ],
+    ids=["calc-json", "calc-text", "membench-json", "membench-text", "figure-csv", "figure-json"],
+)
+def test_non_finite_output_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # No output format holds inf or nan: a result out of float range prints and writes nothing.
+    monkeypatch.setenv("OESNN_OUT", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "out of float range" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

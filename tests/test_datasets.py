@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oesnn.datasets import Dataset, read_csv, read_json
@@ -70,6 +72,11 @@ class TestInvariants:
     def test_ragged_rows_rejected(self):
         with pytest.raises(DomainError):
             Dataset(name="x", columns=("a", "b"), rows=((1,),), provenance={})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(DomainError, match="out of float range"):
+            Dataset(name="x", columns=("a", "b"), rows=((1, 0.5), (2, value)), provenance={})
 
     def test_booleans_rejected(self):
         ds = Dataset(name="x", columns=("a",), rows=((True,),), provenance={})

@@ -20,6 +20,10 @@ run large enough to fall back to sampled sources, and the exact floats of
 one sampled ``PathStats``, whose ``mean_stderr`` is built from the
 per-source counts and appears in no CSV.
 
+The closed-form verbs are pinned by their standard output: every
+``calc`` formula, with a fixed value for each required parameter, and
+``membench`` on the bundled table, each in text and in JSON.
+
 A change that alters the bytes on purpose updates the table below from
 the digests the failing test prints, and says so.
 """
@@ -29,6 +33,7 @@ import json
 
 import pytest
 
+from oesnn import cli
 from oesnn.cli import main
 from oesnn.config import bundled_scenario_names
 from oesnn.netgen import average_shortest_path, generate_er
@@ -313,3 +318,139 @@ def test_sampled_path_stats_match_golden_floats():
     assert stats.mean_shortest_path.hex() == "0x1.1a6793313b8c4p+2"
     assert stats.reachable_fraction.hex() == "0x1.ffbe73fcc1bd3p-1"
     assert stats.mean_stderr.hex() == "0x1.aa802f154928ap-8"
+
+
+# A value for every required calc parameter, valid in each formula that takes it.
+CALC_REQUIRED = {
+    "nph": 7.0, "etad": 0.7, "p": 0.99, "energy": 1e-15, "rate": 1e6, "n": 1e6, "L": 3.0, "k": 200.0,
+    "cold": 1.0, "e": 1e-15, "wsy": 10e-6, "c": 1e-12, "w": 10e-6,
+}
+# calc formula -> (sha256 of the text output, sha256 of the --format json output)
+CALC_GOLDEN = {
+    "carnot": (
+        "1d2fa136d69d4da1543a5e87fb5ce1d2f0d27ff5267208e9a48248eac0563188",
+        "eac1502fd679609b6a66270488e108e00ade4eee0447553b00b08694378a4b23",
+    ),
+    "density-rate": (
+        "1c66b524a9ad9bfdfbe56ffc877cb7e99a1ded58eff48488cfc3fb7676eab923",
+        "e98f25c11d4fc288bbccf7239e375620321137def7524b14a940d4f7ced1bc58",
+    ),
+    "eq1": (
+        "60b9ce8951936b142a6c654e997e7a21493a50c5981ece11971c38de63a28ee5",
+        "2d81e86c68f1210bbe29de1edbca3052b5dac297a298ca8b9b279fdc1a28cb74",
+    ),
+    "eq2": (
+        "c9eab09ee5d9d2545503e3fa9fee9035f85accb7ab3651fa0026968422ea84c3",
+        "1e4a08734ae295c24d493c7922fa18a057adc08a4a37944d5ce305e4700a1d98",
+    ),
+    "eq3": (
+        "99ba4e4e45d81162b1e0e9e2b2e443e95bc30b0cf51fb8ea023e3e0cb5728421",
+        "070440bdf9bee655ea884b5d94b43fec904295b350fa4b02aca7f252e7a18035",
+    ),
+    "eq4": (
+        "4753b243abd0e16eaf66b23b8940fcf4e82bd567b0b2e24cd0466b4bd79ca130",
+        "19278f898015a300b7a3aa266c4e6454dbbf93e8f1c7dafd340888eedeefc428",
+    ),
+    "eq5": (
+        "706eccaa65bd731dd63199cdb39821e22cde31b719d91e604515f6813332758a",
+        "b5ae935e0be3b75b1488ea98bc9cfa2aeaee08011b6135fd5cd08538d4bb7e27",
+    ),
+    "eq6": (
+        "8f82bfce4d9ffcef1ff89645eadbf04e878147dd2f9c3125106b5187af025998",
+        "2491868d58e1745885d6f1db5c4a81b381c712379cccfb039e84987c38d709e5",
+    ),
+    "eq7": (
+        "ddf3c1b1ff09d1112870903cb438106745ef25869c8665e43076c2309a07e430",
+        "94b459c152450d4bbb8af14fa5c2b5c65df5bc11d1280c8f13a688126ea5f55a",
+    ),
+    "eq8": (
+        "567d52d323ea015a98b8f3f9b9021e78f49633aa3c1de46c015fb9006a5d3c04",
+        "4710358aa6f93d6f712d561125bbfbea0a10064b9877754d85fb0b3fbad8a8ca",
+    ),
+    "fluxons": (
+        "e737bd1bde33287a9bc9c57f3b8d79305a4217c9b1ac2d125055f949e74c97f1",
+        "039d7170e3bddddd31c9f922f00cec0e6b36d037f7f0f210e6ef57e23bc8b732",
+    ),
+    "max-rate": (
+        "4e9149413d8de4b7f1364383f81f1ed5a537be9b1fa5e2ee1dfc0019e1bedd08",
+        "abd0577e456252bef4326dc87662b7610de922ddb33b3f0ab5f43f5bcf1cd6c5",
+    ),
+    "path-length": (
+        "f246bc5c2616969e0fffff7031780c05a2de2387a63fef3fb6016079dc6a7df2",
+        "a0d2e450b8235db69805b50f03bd19a45929a2e17d6288e0ca059facd7736b21",
+    ),
+    "photons": (
+        "eb9e68c4eb0dd0e83a0d434713be946a619dfa31e8c0a8ef192cf2f8a52abd46",
+        "4866bcb127263345d64936095945c5e8d8c1c94025f503a0e0dd881803e97593",
+    ),
+    "planes": (
+        "7858b49aef95cb1ba8db6a96b57d5873a95796869a3ae490d444830f55115243",
+        "0435c531444b9c362c09fcf8a3a4652ffbcdf03684e94b8e547ab001295e9ed4",
+    ),
+    "reset-energy": (
+        "5ba56ab0145fe5db2fcd8d7d4990710911e6b0aff54e5d7bfbec5ad97aefd091",
+        "7125cdd8f1dc7f2c906c268744c602b3d76848cc69ca89634fadf65e7750d9b6",
+    ),
+    "squid": (
+        "80c0fbd80549d1e1c5a8bd2153c45bc01951c3c1351fc4ac69daf6b4e3e45665",
+        "bd320602eeda2d582236ab6da2e12360f3a2bcb5c0335dfdb59a31081b74ea99",
+    ),
+    "static-crossover": (
+        "ef252226d5b406e38a97b9cbe92b23f71519e87dcc39f079a3c8e469dac5e67c",
+        "b96abd5c158c95b65d32c760fb218a1c7a55f38a460271acb5bc2e702b626aca",
+    ),
+    "static-power": (
+        "61e4a90420b5080d50f1c060fcc9c9ff6f7fcf11dc0ef18f0d4bb48e603a2617",
+        "de6cb4987ca39fd4695a27b1d19dc36b338c6fac97d2edf7712505a748abecc8",
+    ),
+    "tau-cmos": (
+        "2dfd54bfcd6a63310248916e1ce0f95bf29c8afa41ef0f4c777350024f28e9ae",
+        "4b98f9c9a0445d3bd2a818b1d06e7ad890fd41e1c1024d7cb04bc88b845237ec",
+    ),
+    "tau-dpi": (
+        "4c14251ee12804a3e02f7a058af1e9b60ec159469564c8d56c99cc5a0e102f9a",
+        "53414844ebd520584374215b0b1f1b40648e867c9e47aa22c90c3d5cb5599e54",
+    ),
+    "tau-sc": (
+        "e9551d5b9c48132e8cd06d33c57febef278e138f07a91f22df65ce664f3ee72a",
+        "73d14e751afbc20d02f6a87eeea620af21fc27ee9e0742ed7bb962a62198ed22",
+    ),
+    "tx-power": (
+        "81aa9604a420c45e0802576df6609a11f613420306c32c800196ea2a00c61d64",
+        "9a7846fccab2bcbfd34e16ad64ebde963d52a10f7e8b2b6737fc851cb1790d95",
+    ),
+    "wall": (
+        "7d298b5a76662085d674e0dd1b357cb64a224c04c5afeadef18a6bf6e0383475",
+        "6376b0f3253afeb67a174d6071d3c6cd44b60f7e5741570bea20509f8e1f30e9",
+    ),
+}
+
+
+def _stdout_sha256(capsys, argv) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_every_calc_formula_is_pinned():
+    assert sorted(CALC_GOLDEN) == sorted(cli.FORMULAS)
+
+
+@pytest.mark.parametrize("formula", sorted(CALC_GOLDEN))
+def test_calc_output_matches_golden_digests(formula, capsys):
+    required = [k for k, (default, _) in cli.FORMULAS[formula].params.items() if default is None]
+    argv = ["calc", formula, *(a for k in required for a in (f"--{k}", repr(CALC_REQUIRED[k])))]
+    got = (_stdout_sha256(capsys, argv), _stdout_sha256(capsys, [*argv, "--format", "json"]))
+    assert got == CALC_GOLDEN[formula], f"new digests for calc {formula}: {got!r}"
+
+
+# membench --format -> sha256 of its output on the bundled table
+MEMBENCH_GOLDEN = {
+    "json": "6c7d293ebf3ae4ba522fda2dc7a5c463df96f5c2efe8c1d7c7f29055e0672878",
+    "text": "534acbf5ebb779a9e2d0d3f3c2e9aa65fcac85dd015a324694965d92c2fbc7a9",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MEMBENCH_GOLDEN))
+def test_membench_output_matches_golden_digests(fmt, capsys):
+    got = _stdout_sha256(capsys, ["membench", "--format", fmt])
+    assert got == MEMBENCH_GOLDEN[fmt], f"new digest for membench --format {fmt}: {got!r}"

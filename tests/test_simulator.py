@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oesnn import simulator
 from oesnn.config import build_scenario
 from oesnn.errors import DomainError, SimulationError
-from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver
+from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver, link_detection_probability
 from oesnn.netgen import NetworkGraph, generate_er
 from oesnn.plasticity import StdpParams
 from oesnn.platforms import SEMICONDUCTOR_300K, SUPERCONDUCTING_4K
@@ -203,6 +203,25 @@ class TestDetectionStatistics:
         _, ledger, report = run(chain_graph(), config)
         assert report.detections[0] == 100
         assert ledger.counters.misses == 0
+
+    def test_photodiode_run_skips_the_detection_probability(self, monkeypatch):
+        # A stochastic photodiode draws photon counts against its charging threshold, so the run has
+        # no use for the closed-form probability, a sum of one term per photon: 5e9 terms here.
+        def refuse(link):
+            assert isinstance(link.receiver, SnspdReceiver), "the detection probability of a photodiode link"
+            return link_detection_probability(link)
+
+        monkeypatch.setattr(simulator, "link_detection_probability", refuse)
+        doc = {
+            "seed": 1,
+            "duration": 1e-6,
+            "profile": "semiconductor-300K",
+            "network": {"n": 2, "edges": [{"pre": 0, "post": 1}]},
+            "link": {"eta": 0.01, "n_ph": 5e9, "stochastic": True, "receiver": {"kind": "photodiode", "c_tot": 1e-9}},
+            "inputs": [{"neuron": 0, "times": [1e-7]}],
+        }
+        _, ledger, _ = run(*build_scenario(doc))
+        assert ledger.counters.detections + ledger.counters.misses == 1
 
 
 def detection_times(config):
@@ -836,6 +855,12 @@ def small_runs(draw):
     Half the graphs have a hub, neuron 0, whose out-degree is at least
     ``_SCALAR_BATCH`` and which the first drive forces, so that its batches
     take the array handler and the other neurons' batches the scalar one.
+
+    A quarter of the runs are built to fault: analog cells of endurance 1
+    under STDP that faults, and drives that fire some post neurons of one
+    source and then the source twice, with no other drive.  The first
+    arrival at a primed post is its cell's one write, and the next write
+    faults, most often with later arrivals of its batch left unrun.
     """
     cut = simulator._SCALAR_BATCH
     hub = draw(st.booleans())
@@ -851,12 +876,13 @@ def small_runs(draw):
     pre, post = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
     graph = NetworkGraph(n=n, pre=pre, post=post)
 
+    faulting = draw(st.integers(0, 3)) == 0
     weights = st.floats(0.2, 1.0)
     synapse = SynapseDefaults(
         tau=draw(st.sampled_from([1e-7, 1e-6])),
         weight=draw(weights),
         inhibitory=draw(st.integers(0, 3)) == 3,
-        **draw(memory_fields()),
+        **({"memory_kind": "analog", "endurance": 1.0} if faulting else draw(memory_fields())),
     )
     # A few override dicts, each held by one or more edges, so that an override built once serves several.
     shared = []
@@ -874,7 +900,8 @@ def small_runs(draw):
         overrides[e] = draw(st.sampled_from(shared))
 
     if draw(st.integers(0, 2)) < 2:
-        receiver = SnspdReceiver(reset_time=GRID * draw(st.sampled_from([32, 4, 1, 0])))
+        # A dead time longer than the faulting source's spike interval would suppress its second arrival.
+        receiver = SnspdReceiver(reset_time=GRID * draw(st.sampled_from([4, 1, 0] if faulting else [32, 4, 1, 0])))
         n_ph = draw(st.sampled_from([1.0, 7.0]))
         link = snspd_link(n_ph=n_ph, stochastic=draw(st.integers(0, 3)) < 3, receiver=receiver)
         profile = SUPERCONDUCTING_4K
@@ -883,20 +910,20 @@ def small_runs(draw):
         link = OpticalLink(eta=0.01, n_ph=n_ph, receiver=ReceiverlessPhotodiode(), stochastic=draw(st.booleans()))
         profile = SEMICONDUCTOR_300K
     plasticity = None
-    if draw(st.integers(0, 2)) < 2:
+    if faulting or draw(st.integers(0, 2)) < 2:
         plasticity = StdpParams(
             a_plus=draw(st.sampled_from([0.05, 1.0, 3.0])),
             a_minus=draw(st.sampled_from([0.05, 1.0, 3.0])),
             tau_plus=draw(st.sampled_from([2e-7, 1e-6])),
             tau_minus=draw(st.sampled_from([2e-7, 1e-6])),
-            on_exhaustion=draw(st.sampled_from(["freeze", "fault"])),
+            on_exhaustion="fault" if faulting else draw(st.sampled_from(["freeze", "fault"])),
             write_energy=draw(st.sampled_from([None, 1e-15])),
         )
 
     # The first drive forces the hub; the others mostly neurons with out-edges.
     sources = sorted(set(graph.pre.tolist())) or [0]
     drives = []
-    for i in range(draw(st.integers(1, 4))):
+    for i in range(0 if faulting else draw(st.integers(1, 4))):
         v = 0 if hub and i == 0 else draw(st.one_of(st.sampled_from(sources), st.integers(0, n - 1)))
         start = GRID * draw(st.integers(0, 8))
         kind = draw(st.sampled_from(["times", "count", "rate"]))
@@ -908,6 +935,12 @@ def small_runs(draw):
             drives.append(InputDrive(neuron=v, count=draw(st.integers(0, 12)), interval=interval, start=start))
         else:
             drives.append(InputDrive(neuron=v, rate=draw(st.sampled_from([1e6, 5e6])), start=start))
+    if faulting:
+        source = 0 if hub else draw(st.sampled_from(sources))
+        posts = sorted(set(graph.post[graph.pre == source].tolist()))
+        primed = draw(st.lists(st.sampled_from(posts), min_size=1, max_size=4, unique=True)) if posts else []
+        drives += [InputDrive(neuron=v, times=(0.0,)) for v in primed]
+        drives.append(InputDrive(neuron=source, times=(GRID * 2, GRID * 10)))
     config = SimConfig(
         duration=GRID * draw(st.integers(16, 64)),
         seed=draw(st.integers(0, 2**32)),
