@@ -435,56 +435,56 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-# Stands in for the synapse list while the rest of the ledger is encoded.
-# "synapse_report" sorts last among the ledger's keys and "synapses" last
-# within it, so the list is the final value in the document.
+# Stands in for the synapse list while the rest of the ledger is encoded.  "synapse_report" sorts last
+# among the ledger's keys and "synapses" last within it, so the list is the final value in the document.
 _SYNAPSES = "\x00synapses\x00"
-
-# One synapse of SynapseReport.as_dict() as json.dumps(sort_keys=True, indent=2) lays it out
-# at the synapse list's depth in the ledger, with a %s for each value.
+# A ledger row is one synapse of SynapseReport.as_dict() at the synapse list's depth in json.dumps(sort_keys=True,
+# indent=2): each key's text comes before its value, and the first key's opens the row after the previous one.
 _SYNAPSE_KEYS = sorted(SynapseReport.KEYS)
-_SYNAPSE_ROW = "      {\n" + ",\n".join(f'        "{key}": %s' for key in _SYNAPSE_KEYS) + "\n      }"
+_KEY_TEXT = {key: f',\n        "{key}": ' for key in _SYNAPSE_KEYS}
+_KEY_TEXT[_SYNAPSE_KEYS[0]] = ",\n      {" + _KEY_TEXT[_SYNAPSE_KEYS[0]][1:]
 _ROWS_PER_BLOCK = 512
-_FLAGS = np.array([json.dumps(False), json.dumps(True)], dtype=object)
+# A column's table values as a row holds them: level -1 (analog memory) is null, and a weight is read from its bits.
+_DECODE = {"level": lambda v: [None if x < 0 else x for x in v.tolist()]}
+_DECODE["weight"] = lambda v: v.view(np.float64).tolist()
+
+
+def _column_table(key: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row text of ``key`` for each value from the least of ``values`` to the largest if that range is no longer
+    than ``values``, else for each distinct one; the codes of ``values``, ``lo`` above their indices; and ``lo``."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, -1)
+    if hi - lo < values.size:
+        distinct, codes = np.arange(lo, hi + 1, dtype=values.dtype), values
+    else:
+        (distinct, codes), lo = np.unique(values, return_inverse=True), 0
+    end = "\n      }" if key == _SYNAPSE_KEYS[-1] else ""
+    texts = json.dumps(_DECODE.get(key, np.ndarray.tolist)(distinct))[1:-1].split(", ")
+    return np.array([_KEY_TEXT[key] + text + end for text in texts], dtype=object), codes, lo
 
 
 def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
-    """Write ``doc`` with ``report.as_dict()`` as its ``"synapse_report"``,
-    as ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.
-
-    The rows are written in blocks of a fixed size, each one template filled from slices of the
-    report's per-edge arrays.  Memory values are encoded once each: every level up front, and the
-    block's distinct weights per block.
-    """
-    doc = {
-        **doc,
-        "synapse_report": {
-            "sqrt_fanin_update_estimate": report.sqrt_fanin_update_estimate,
-            "synapses": _SYNAPSES,
-        },
-    }
-    head, _, tail = json.dumps(doc, sort_keys=True, indent=2).rpartition(json.dumps(_SYNAPSES))
-    fh.write(head)
+    """Write ``doc`` with ``report.as_dict()`` as its ``"synapse_report"`` to the binary file ``fh``, as
+    ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.  Each column is encoded once into a table,
+    the weights once per block of rows, and a block of rows is the join of their entries in every table."""
+    synapse_report = {"sqrt_fanin_update_estimate": report.sqrt_fanin_update_estimate, "synapses": _SYNAPSES}
+    text = json.dumps({**doc, "synapse_report": synapse_report}, sort_keys=True, indent=2)
+    head, _, tail = text.rpartition(json.dumps(_SYNAPSES))
+    fh.write(head.encode())
     memory = report.memory
-    # Level -1 (analog memory) is null.
-    levels = np.array([json.dumps(v) for v in [None, *range(memory.level.max(initial=-1) + 1)]], dtype=object)
-    full = ",\n".join([_SYNAPSE_ROW] * _ROWS_PER_BLOCK)
+    columns = {key: getattr(memory if key in SynapseReport.MEMORY_KEYS else report, key) for key in _SYNAPSE_KEYS}
+    tables = {key: _column_table(key, values) for key, values in columns.items() if key != "weight"}
+    block = np.empty((_ROWS_PER_BLOCK, len(_SYNAPSE_KEYS)), dtype=object)
     for start in range(0, len(memory.weight), _ROWS_PER_BLOCK):
         edges = slice(start, start + _ROWS_PER_BLOCK)
-        weight = memory.weight[edges]
-        # Weights told apart by their bits, so that -0.0 does not merge with 0.0.
-        _, first, inverse = np.unique(weight.view(np.uint64), return_index=True, return_inverse=True)
-        encoded = {
-            "weight": np.array([json.dumps(w) for w in weight[first].tolist()], dtype=object)[inverse],
-            "level": levels[memory.level[edges] + 1],
-            "degraded": _FLAGS[memory.degraded[edges].view(np.uint8)],
-        }
-        columns = [encoded[key] if key in encoded else getattr(report, key)[edges] for key in _SYNAPSE_KEYS]
-        template = full if weight.size == _ROWS_PER_BLOCK else ",\n".join([_SYNAPSE_ROW] * weight.size)
-        fh.write(",\n" if start else "[\n")
-        fh.write(template % tuple(np.stack(columns, axis=1, dtype=object).ravel().tolist()))
-    fh.write("\n    ]" if len(memory.weight) else "[]")
-    fh.write(tail + "\n")
+        weights = _column_table("weight", memory.weight[edges].view(np.uint64))  # -0.0 stays apart from 0.0
+        rows = block[: len(weights[1])]
+        for j, key in enumerate(_SYNAPSE_KEYS):
+            table, codes, lo = tables.get(key, weights)
+            rows[:, j] = table[(codes if key == "weight" else codes[edges]) - lo]
+        text = "".join(rows.ravel().tolist())  # a str join: a bytes join takes 80 bytes more per item
+        fh.write((text if start else "[" + text[1:]).encode())
+    fh.write(b"\n    ]" if len(memory.weight) else b"[]")
+    fh.write(tail.encode() + b"\n")
 
 
 def cmd_simulate(args) -> int:
@@ -521,7 +521,7 @@ def cmd_simulate(args) -> int:
     spikes_path = out / "spikes.csv"
     ledger_path = out / "ledger.json"
     spikes.write_csv(spikes_path)
-    with open(ledger_path, "w", encoding="utf-8", newline="") as fh:
+    with open(ledger_path, "wb") as fh:
         _write_ledger(fh, doc_out, report)
     mean_rate = len(spikes) / (graph.n * config.duration)
     print(f"spikes: {len(spikes)} (mean rate {mean_rate:.6g} Hz over {graph.n} neurons)")

@@ -241,10 +241,16 @@ def link_detection_probability(link: OpticalLink) -> float:
     if mean == 0.0:
         return 0.0
     # P(Poisson(mean) >= need): accumulate the CDF in log space so that
-    # thousand-photon links do not underflow.
+    # thousand-photon links do not underflow.  Only the terms within
+    # 40 sqrt(mean) + 40 photons of the mean are summed: the others are
+    # too small to change the float sum, so the loop is bounded in need.
+    spread = 40.0 * math.sqrt(mean) + 40.0
+    lo = max(0, math.floor(mean - spread))
+    if need <= lo:
+        return 1.0
     log_mean = math.log(mean)
     log_cdf = -math.inf
-    for k in range(need):
+    for k in range(lo, min(need, math.ceil(mean + spread))):
         log_term = -mean + k * log_mean - math.lgamma(k + 1)
         log_cdf = max(log_cdf, log_term) + math.log1p(math.exp(-abs(log_cdf - log_term)))
     return max(0.0, -math.expm1(log_cdf))

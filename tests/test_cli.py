@@ -1,12 +1,17 @@
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oesnn import cli
 from oesnn.cli import main
@@ -14,9 +19,10 @@ from oesnn.config import build_scenario, load_scenario
 from oesnn.datasets import read_csv, read_json
 from oesnn.linkbudget import DEFAULT_WAVELENGTH, ReceiverlessPhotodiode, SnspdReceiver
 from oesnn.membench import SystemAssumptions
+from oesnn.plasticity import MemoryColumns
 from oesnn.platforms import SUPERCONDUCTING_4K, CmosTimeConstantSpec, ScTimeConstantSpec
 from oesnn.scaling import SYNAPSE_WIDTH, WAFER_DIAMETER, WAVEGUIDE_PITCH
-from oesnn.simulator import EnergyParams
+from oesnn.simulator import EnergyParams, SynapseReport
 
 
 def run_cli(capsys, *argv):
@@ -568,6 +574,70 @@ class TestSimulate:
         assert code == 0
         assert out.startswith("spikes: 0 ")
         assert (tmp_path / "spikes.csv").read_text().strip() == "neuron_id,time_s"
+
+
+# Weights whose text or bits are easy to get wrong: both zeros, a whole number, a long repr and the
+# least subnormal.
+_WEIGHT_POOL = np.array([-0.0, 0.0, 1.0, 1 / 3, 5e-324])
+_COUNTER_KEYS = ("pre", "post", "detections", "misses", "suppressed", "writes")
+
+
+def _synthetic_report(rng, tops: dict, level, weight, degraded) -> SynapseReport:
+    """A report with the given memory columns whose int columns are drawn from ``rng``, each up to
+    and reaching its entry in ``tops``."""
+    count = len(level)
+    counters = {key: rng.integers(0, top, count, endpoint=True) for key, top in tops.items()}
+    if count:
+        for key, values in counters.items():
+            values[rng.integers(count)] = tops[key]
+    memory = MemoryColumns(
+        level=level,
+        weight=weight,
+        writes=np.zeros(count, dtype=np.int64),
+        degraded=degraded,
+        group=np.zeros(count, dtype=np.int64),
+        groups=[(0, 0.0, math.inf)],
+    )
+    return SynapseReport(**counters, memory=memory, sqrt_fanin_update_estimate=float(rng.random() * 1e6))
+
+
+class TestLedgerWriter:
+    DOC = {"scenario": "generated", "seed": 1, "profile": "p", "energy": {"total_j": 1.5e-12}, "power": {}}
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_generated_report_matches_encoder(self, data):
+        count = data.draw(st.sampled_from([0, 1, 511, 512, 513, 1025]), label="count")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # Each int column's largest value lies below the edge count (a range table) or at or above it
+        # (a distinct-value table).
+        below, above = st.integers(0, max(count - 1, 0)), st.integers(count, 2**62)
+        tops = {key: data.draw(st.one_of(below, above), label=key) for key in _COUNTER_KEYS}
+        max_level = data.draw(st.sampled_from([0, 1, 255, 1023]), label="max_level")
+        level = rng.integers(0, max_level, count, endpoint=True)
+        level[rng.random(count) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="analog share")] = -1
+        pool = data.draw(st.lists(st.integers(0, len(_WEIGHT_POOL) - 1), min_size=1, max_size=5), label="weights")
+        degraded = rng.random(count) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="degraded share")
+        report = _synthetic_report(rng, tops, level, _WEIGHT_POOL[rng.choice(pool, count)], degraded)
+        fh = io.BytesIO()
+        cli._write_ledger(fh, self.DOC, report)
+        expected = json.dumps({**self.DOC, "synapse_report": report.as_dict()}, sort_keys=True, indent=2) + "\n"
+        assert fh.getvalue() == expected.encode()
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # The writer holds a block of rows and the column tables, never a row for every edge. A report
+        # like the paper's fan-out (loop cells sharing one level, 2000 neurons) writes in under 3 MB.
+        level = np.full(200_000, 76)
+        tops = {key: 1999 if key in ("pre", "post") else 50 for key in _COUNTER_KEYS}
+        report = _synthetic_report(np.random.default_rng(0), tops, level, level / 255, np.zeros(200_000, dtype=bool))
+        with open(os.devnull, "wb") as fh:
+            tracemalloc.start()
+            try:
+                cli._write_ledger(fh, self.DOC, report)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestValidateEq6:

@@ -298,9 +298,9 @@ def test_output_bytes_match_golden_digests(name, tmp_path, capsys):
 
 # validate-eq6 arguments -> sha256 of path-model-validation.csv
 VALIDATE_GOLDEN = {
-    "--n 2000 --k 16 --seeds 10 --seed 0": "4c3418a71e5eeee84ff30b01438e6f8ee4647420e694c30560f8ebbab5690ed4",
+    "--n 2000 --k 16 --seeds 10 --seed 0": "266e33e32637fdec5ff265dcf4fe11f879101a09874bc0b802aa212f6b9b695a",
     # n > 5000 falls back to 1000 sampled sources per graph.
-    "--n 6000 --k 8 --seeds 2 --seed 0": "1f30db677eb715479478188cd8e121ef5a851193341f0e236c0fd2a064efe639",
+    "--n 6000 --k 8 --seeds 2 --seed 0": "1e9ee1e43acedad315e2a8c4b59186394966d726c1e1bb405957e499d5456a29",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,38 @@ class TestLinkModel:
         # Well above the requirement detection is near-certain.
         rich = OpticalLink(receiver=pd, n_ph=need * 1.2, stochastic=True)
         assert link_detection_probability(rich) > 0.999
+
+
+def _full_poisson_tail(mean: float, need: int) -> float:
+    """P(Poisson(mean) >= need) from every log-space CDF term below ``need``, as the detection
+    probability of a stochastic photodiode was summed before its loop was bounded."""
+    log_mean, log_cdf = math.log(mean), -math.inf
+    for k in range(need):
+        log_term = -mean + k * log_mean - math.lgamma(k + 1)
+        log_cdf = max(log_cdf, log_term) + math.log1p(math.exp(-abs(log_cdf - log_term)))
+    return max(0.0, -math.expm1(log_cdf))
+
+
+class TestPhotodiodeDetectionWindow:
+    # Charging thresholds of 5 to 49,933 photons, and means from far below the threshold to far above it.
+    # From 4,994 photons up, the window cuts the sum on the right (0.01), on both sides (0.5 to 1.1), or
+    # ends it at once (2.0, 10.0).
+    @pytest.mark.parametrize("c_tot", [1e-18, 1e-17, 1e-16, 1e-15, 1e-14])
+    def test_window_matches_the_full_sum(self, c_tot):
+        pd = ReceiverlessPhotodiode(c_tot=c_tot)
+        need = math.ceil(implied_photon_count(pd))
+        for share in (0.01, 0.5, 0.9, 0.97, 1.0, 1.03, 1.1, 2.0, 10.0):
+            link = OpticalLink(receiver=pd, n_ph=need * share, eta=1.0, stochastic=True)
+            assert link_detection_probability(link).hex() == _full_poisson_tail(need * share, need).hex(), share
+
+    def test_picofarad_threshold_is_fast(self):
+        # 4,993,208 photons charge 1 pF; the full sum takes seconds and gives this value.
+        pd = ReceiverlessPhotodiode(c_tot=1e-12)
+        link = OpticalLink(receiver=pd, n_ph=implied_photon_count(pd), eta=1.0, stochastic=True)
+        start = time.perf_counter()
+        probability = link_detection_probability(link)
+        assert time.perf_counter() - start < 0.2
+        assert probability.hex() == "0x1.ffecf2b7e24d5p-2"
 
 
 class TestPoissonMeanBound:

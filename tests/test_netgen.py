@@ -337,6 +337,16 @@ class TestValidatePathModel:
         b = validate_path_model([300], [8], seeds=2, base_seed=5)
         assert a == b
 
+    def test_mean_stderr_combines_the_graphs(self):
+        # Each graph's sampling error adds in quadrature; an exact all-source mean has none.
+        rows = validate_path_model([300], [8], seeds=3, base_seed=5, sample_sources=40)
+        seed_rng = substream(5, "validate-seeds")
+        graphs = [generate_er(300, 8.0, int(seed_rng.integers(0, 2**63 - 1))) for _ in range(3)]
+        stderrs = [average_shortest_path(g, 40).mean_stderr for g in graphs]
+        assert rows[0]["empirical_mean_stderr"] == math.sqrt(sum(se**2 for se in stderrs)) / 3
+        assert rows[0]["empirical_mean_stderr"] > 0
+        assert validate_path_model([300], [8], seeds=3, base_seed=5)[0]["empirical_mean_stderr"] == 0.0
+
     @pytest.mark.parametrize("sample_sources", [0, -3])
     def test_bad_sample_sources_rejected_before_any_graph(self, monkeypatch, sample_sources):
         def no_graph(*args):
