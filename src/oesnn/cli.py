@@ -462,13 +462,19 @@ def _column_table(key: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return np.array([_KEY_TEXT[key] + text + end for text in texts], dtype=object), codes, lo
 
 
-def _write_ledger(fh, doc: dict, report: SynapseReport) -> None:
-    """Write ``doc`` with ``report.as_dict()`` as its ``"synapse_report"`` to the binary file ``fh``, as
-    ``json.dumps(..., sort_keys=True, indent=2)`` and a newline.  Each column is encoded once into a table,
-    the weights once per block of rows, and a block of rows is the join of their entries in every table."""
+def _ledger_ends(doc: dict, report: SynapseReport) -> tuple[str, str]:
+    """The text of ``json.dumps({**doc, "synapse_report": report.as_dict()}, sort_keys=True, indent=2)`` before
+    and after the synapse list.  JSON holds no inf or nan, so a figure out of float range is a ``ValueError``."""
     synapse_report = {"sqrt_fanin_update_estimate": report.sqrt_fanin_update_estimate, "synapses": _SYNAPSES}
-    text = json.dumps({**doc, "synapse_report": synapse_report}, sort_keys=True, indent=2)
+    text = json.dumps({**doc, "synapse_report": synapse_report}, sort_keys=True, indent=2, allow_nan=False)
     head, _, tail = text.rpartition(json.dumps(_SYNAPSES))
+    return head, tail
+
+
+def _write_ledger(fh, ends: tuple[str, str], report: SynapseReport) -> None:
+    """Write ``ends`` (see :func:`_ledger_ends`) around the synapse rows, and a newline, to the binary file ``fh``.
+    Each column is encoded once into a table, the weights once per block of rows, and a block joins their entries."""
+    head, tail = ends
     fh.write(head.encode())
     memory = report.memory
     columns = {key: getattr(memory if key in SynapseReport.MEMORY_KEYS else report, key) for key in _SYNAPSE_KEYS}
@@ -504,7 +510,6 @@ def cmd_simulate(args) -> int:
         n_synapses=graph.edge_count,
         n_neurons=graph.n,
         budget=args.budget,
-        fanout=graph.edge_count / graph.n,
     )
     doc_out = {
         "scenario": doc.get("name", args.config),
@@ -513,8 +518,8 @@ def cmd_simulate(args) -> int:
         "energy": ledger.as_dict(config.profile),
         "power": summary.as_dict(),
     }
-    try:  # JSON holds no inf or nan: a run whose figures leave float range writes nothing
-        json.dumps(doc_out, allow_nan=False)
+    try:  # a run whose figures leave float range writes nothing
+        ends = _ledger_ends(doc_out, report)
     except ValueError:
         raise SimulationError("the run's energy or power figures leave float range") from None
     out = _out_dir(args.out)
@@ -522,7 +527,7 @@ def cmd_simulate(args) -> int:
     ledger_path = out / "ledger.json"
     spikes.write_csv(spikes_path)
     with open(ledger_path, "wb") as fh:
-        _write_ledger(fh, doc_out, report)
+        _write_ledger(fh, ends, report)
     mean_rate = len(spikes) / (graph.n * config.duration)
     print(f"spikes: {len(spikes)} (mean rate {mean_rate:.6g} Hz over {graph.n} neurons)")
     print(f"wall power: {summary.wall_power:.6g} W (cold {summary.cold_power:.6g} W)")

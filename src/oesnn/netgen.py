@@ -258,7 +258,8 @@ def validate_path_model(
     minimum reachable fraction, never silently averaged away.  The
     mean's sampling error is sqrt(sum of se_i^2) / seeds over each graph's
     ``PathStats.mean_stderr`` se_i, which is 0.0 for an exact graph mean
-    (every source) and for a mean over one sampled source.
+    (every source).  A sampled graph needs two sources that reach another
+    node to estimate its se_i, so fewer is a ``DomainError``.
     """
     if any(isinstance(s, float) and not s.is_integer() for s in sizes):  # nan, inf or a fraction
         raise DomainError(f"sizes must be finite whole numbers, got {list(sizes)}")
@@ -270,8 +271,8 @@ def validate_path_model(
         raise DomainError("sizes and degrees must be non-empty")
     if seeds < 1:
         raise DomainError("seeds must be at least 1")
-    if sample_sources is not None and sample_sources < 1:
-        raise DomainError(f"sample_sources must be at least 1, got {sample_sources}")
+    if sample_sources is not None and sample_sources < 2:
+        raise DomainError(f"sample_sources must be at least 2, got {sample_sources}")
     seed_rng = substream(base_seed, "validate-seeds")
     rows = []
     for n, k in itertools.product(sizes, degrees):
@@ -283,6 +284,8 @@ def validate_path_model(
         for _ in range(seeds):
             g = generate_er(n, k, int(seed_rng.integers(0, 2**63 - 1)))
             stats = average_shortest_path(g, sample_sources)
+            if stats.sources < n and stats.mean_stderr is None:
+                raise DomainError(f"fewer than 2 of {stats.sources} sampled sources reach another node at n={n}, k={k}")
             means.append(stats.mean_shortest_path)
             variances.append((stats.mean_stderr or 0.0) ** 2)
             min_reach = min(min_reach, stats.reachable_fraction)

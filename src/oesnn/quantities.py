@@ -1,11 +1,11 @@
-"""Unit-tagged scalars, dimension algebra, and fundamental constants.
+"""Unit-tagged scalars and fundamental constants.
 
 All values are stored in SI base units.  A :class:`Quantity` pairs a float
 with a dimension expressed as integer exponents over (metre, kilogram,
 second, ampere, kelvin).  Multiplication and division compose dimensions;
-addition, subtraction, and comparison require matching ones.  Only the
-closed set of dimensions the models actually use gets a readable unit
-label; intermediate products print as raw exponent strings.
+the models add and compare bare SI floats.  Only the closed set of
+dimensions the models actually use gets a readable unit label;
+intermediate products print as raw exponent strings.
 
 Convention used package-wide: functions accept either a ``Quantity`` or a
 bare number (interpreted as SI), return a ``Quantity`` when the result
@@ -43,11 +43,6 @@ AREAL_CAPACITANCE: Dim = (-4, -1, 4, 2, 0)  # F/m^2
 POWER_DENSITY: Dim = (0, 1, -3, 0, 0)  # W/m^2
 PERMEABILITY: Dim = (1, 1, -2, -2, 0)  # H/m
 ACTION: Dim = (2, 1, -1, 0, 0)  # J*s
-
-# Sheet parameters: "per square" is a pure number, so these share the
-# dimension of the bulk element.
-INDUCTANCE_PER_SQUARE: Dim = INDUCTANCE
-SHEET_RESISTANCE: Dim = RESISTANCE
 
 _UNIT_LABELS: dict[Dim, str] = {
     DIMENSIONLESS: "-",
@@ -111,22 +106,6 @@ class Quantity:
     def unit(self) -> str:
         return unit_label(self.dim)
 
-    def _same_dim(self, other: "Quantity", op: str) -> None:
-        if self.dim != other.dim:
-            raise DimensionError(f"cannot {op} {self.unit} and {other.unit}")
-
-    def __add__(self, other):
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        self._same_dim(other, "add")
-        return Quantity(self.value + other.value, self.dim)
-
-    def __sub__(self, other):
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        self._same_dim(other, "subtract")
-        return Quantity(self.value - other.value, self.dim)
-
     def __mul__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.value * other.value, _compose(self.dim, other.dim, +1))
@@ -145,43 +124,6 @@ class Quantity:
         if isinstance(other, (int, float)):
             return Quantity(self.value / other, self.dim)
         return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            if self.value == 0.0:
-                raise DomainError("division by a zero-valued quantity")
-            return Quantity(other / self.value, _compose(DIMENSIONLESS, self.dim, -1))
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise DimensionError("quantities support integer powers only")
-        dim = tuple(e * exponent for e in self.dim)
-        return Quantity(self.value**exponent, dim)  # type: ignore[arg-type]
-
-    def __neg__(self):
-        return Quantity(-self.value, self.dim)
-
-    def __abs__(self):
-        return Quantity(abs(self.value), self.dim)
-
-    def _cmp(self, other, op, name):
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        self._same_dim(other, name)
-        return op(self.value, other.value)
-
-    def __lt__(self, other):
-        return self._cmp(other, lambda a, b: a < b, "compare")
-
-    def __le__(self, other):
-        return self._cmp(other, lambda a, b: a <= b, "compare")
-
-    def __gt__(self, other):
-        return self._cmp(other, lambda a, b: a > b, "compare")
-
-    def __ge__(self, other):
-        return self._cmp(other, lambda a, b: a >= b, "compare")
 
     def __repr__(self):
         return f"Quantity({self.value!r}, {self.unit!r})"
@@ -207,41 +149,20 @@ def si_value(x, dim: Dim, name: str = "value") -> float:
     return as_quantity(x, dim, name).value
 
 
-def probability(p) -> Quantity:
-    """Dimensionless quantity constrained to [0, 1]."""
-    v = si_value(p, DIMENSIONLESS, "probability")
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {v}")
-    return Quantity(v, DIMENSIONLESS)
-
-
-def count(n) -> Quantity:
-    """Dimensionless non-negative quantity."""
-    v = si_value(n, DIMENSIONLESS, "count")
-    if v < 0:
-        raise DomainError(f"count must be non-negative, got {v}")
-    return Quantity(v, DIMENSIONLESS)
-
-
 @dataclass(frozen=True)
 class Constants:
-    """Pinned CODATA 2018 values (SI).
-
-    ``phi0`` is stored explicitly but must agree with h/(2q) to 1e-9
-    relative, which is checked at construction.
-    """
+    """Pinned CODATA 2018 values (SI)."""
 
     h: float = 6.62607015e-34  # Planck constant, J*s (exact)
     c: float = 299_792_458.0  # speed of light, m/s (exact)
     q: float = 1.602176634e-19  # elementary charge, C (exact)
     mu0: float = 1.25663706212e-6  # vacuum permeability, H/m
     euler_gamma: float = 0.5772156649015329
-    phi0: float = 6.62607015e-34 / (2 * 1.602176634e-19)  # flux quantum, Wb
 
-    def __post_init__(self):
-        expected = self.h / (2 * self.q)
-        if abs(self.phi0 - expected) > 1e-9 * expected:
-            raise DomainError("phi0 must equal h/(2q) to 1e-9 relative")
+    @property
+    def phi0(self) -> float:
+        """Flux quantum h/(2q), Wb."""
+        return self.h / (2 * self.q)
 
 
 CONSTANTS = Constants()

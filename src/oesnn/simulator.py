@@ -766,14 +766,14 @@ def power_report(
     n_synapses: int | None = None,
     budget: float | None = None,
     n_neurons: int | None = None,
-    fanout: float | None = None,
 ) -> PowerReport:
     """Average cold/wall power with density and budget comparisons.
 
     The density check divides per-synapse on-chip (cold) power by the
     synapse footprint; the budget check uses cooling-inflated wall power.
     When the network shape is supplied, the report also states the maximum
-    average rate the budget supports at the observed per-event wall energy.
+    average rate the budget supports at the observed per-event wall energy,
+    at the mean fan-out ``n_synapses / n_neurons``.
     """
     if duration <= 0:
         raise DomainError("duration must be positive")
@@ -792,9 +792,9 @@ def power_report(
     predicted = None
     if budget is not None:
         utilization = wall / budget
-        if n_neurons and fanout and ledger.counters.transmissions:
+        if n_neurons and n_synapses and ledger.counters.transmissions:
             e_wall_per_event = ledger.wall_total(profile) / ledger.counters.transmissions
-            predicted = max_average_spike_rate(budget, n_neurons, fanout, e_wall_per_event).value
+            predicted = max_average_spike_rate(budget, n_neurons, n_synapses / n_neurons, e_wall_per_event).value
     return PowerReport(
         duration=duration,
         cold_power=cold,

@@ -620,7 +620,7 @@ class TestLedgerWriter:
         degraded = rng.random(count) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="degraded share")
         report = _synthetic_report(rng, tops, level, _WEIGHT_POOL[rng.choice(pool, count)], degraded)
         fh = io.BytesIO()
-        cli._write_ledger(fh, self.DOC, report)
+        cli._write_ledger(fh, cli._ledger_ends(self.DOC, report), report)
         expected = json.dumps({**self.DOC, "synapse_report": report.as_dict()}, sort_keys=True, indent=2) + "\n"
         assert fh.getvalue() == expected.encode()
 
@@ -633,7 +633,7 @@ class TestLedgerWriter:
         with open(os.devnull, "wb") as fh:
             tracemalloc.start()
             try:
-                cli._write_ledger(fh, self.DOC, report)
+                cli._write_ledger(fh, cli._ledger_ends(self.DOC, report), report)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -676,8 +676,9 @@ class TestValidateEq6:
             ("--tolerance", "nan", "tolerance must be finite and at least 0"),
             ("--tolerance", "-0.1", "tolerance must be finite and at least 0"),
             ("--tolerance", "inf", "tolerance must be finite and at least 0"),
-            ("--sample-sources", "0", "sample_sources must be at least 1, got 0"),
-            ("--sample-sources", "-3", "sample_sources must be at least 1, got -3"),
+            ("--sample-sources", "0", "sample_sources must be at least 2, got 0"),
+            ("--sample-sources", "1", "sample_sources must be at least 2, got 1"),
+            ("--sample-sources", "-3", "sample_sources must be at least 2, got -3"),
         ],
     )
     def test_bad_size_or_tolerance_usage_error(self, capsys, tmp_path, flag, value, problem):

@@ -347,14 +347,23 @@ class TestValidatePathModel:
         assert rows[0]["empirical_mean_stderr"] > 0
         assert validate_path_model([300], [8], seeds=3, base_seed=5)[0]["empirical_mean_stderr"] == 0.0
 
-    @pytest.mark.parametrize("sample_sources", [0, -3])
+    @pytest.mark.parametrize("sample_sources", [0, 1, -3])
     def test_bad_sample_sources_rejected_before_any_graph(self, monkeypatch, sample_sources):
         def no_graph(*args):
             raise AssertionError("a graph was generated")
 
         monkeypatch.setattr(netgen, "generate_er", no_graph)
-        with pytest.raises(DomainError, match="sample_sources must be at least 1"):
+        with pytest.raises(DomainError, match="sample_sources must be at least 2"):
             validate_path_model([100], [4], seeds=1, sample_sources=sample_sources)
+
+    def test_sampled_graph_without_a_stderr_rejected(self):
+        # At k = 1.5 the graph is fragmented: one of the two sampled sources of the first graph of base
+        # seed 0 reaches no other node, so the graph's mean has no spread to estimate an error from.
+        seed_rng = substream(0, "validate-seeds")
+        graph = generate_er(300, 1.5, int(seed_rng.integers(0, 2**63 - 1)))
+        assert average_shortest_path(graph, 2).mean_stderr is None
+        with pytest.raises(DomainError, match="fewer than 2 of 2 sampled sources reach another node"):
+            validate_path_model([300], [1.5], seeds=2, base_seed=0, sample_sources=2)
 
     def test_disconnected_realizations_surface_reachability(self):
         # Just above the percolation regime the graph fragments; the report

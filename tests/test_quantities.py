@@ -12,9 +12,7 @@ from oesnn.quantities import (
     TIME,
     Quantity,
     as_quantity,
-    count,
     photon_energy,
-    probability,
     quantum_limited_responsivity,
     si_value,
     unit_label,
@@ -32,24 +30,11 @@ def test_constants_pinned():
     assert CONSTANTS.euler_gamma == pytest.approx(0.5772156649015329, abs=0)
 
 
-def test_addition_requires_matching_dimension():
-    with pytest.raises(DimensionError):
-        Quantity(1.0, ENERGY) + Quantity(1.0, POWER)
-    total = Quantity(1.0, ENERGY) + Quantity(2.0, ENERGY)
-    assert total.value == 3.0 and total.dim == ENERGY
-
-
 def test_multiplication_composes_dimensions():
     p = Quantity(3.0, POWER) * Quantity(2.0, TIME)
     assert p.dim == ENERGY
     assert p.value == 6.0
     assert (Quantity(6.0, ENERGY) / Quantity(2.0, TIME)).dim == POWER
-
-
-def test_comparison_requires_matching_dimension():
-    assert Quantity(2.0, ENERGY) > Quantity(1.0, ENERGY)
-    with pytest.raises(DimensionError):
-        Quantity(2.0, ENERGY) > Quantity(1.0, TIME)
 
 
 def test_division_by_zero_quantity_rejected():
@@ -68,14 +53,6 @@ def test_as_quantity_coercion_and_rejection():
     with pytest.raises(DimensionError):
         as_quantity(Quantity(1.0, TIME), ENERGY)
     assert si_value(Quantity(1.0, TIME), TIME) == 1.0
-
-
-def test_probability_and_count_ranges():
-    assert probability(0.5).value == 0.5
-    with pytest.raises(DomainError):
-        probability(1.5)
-    with pytest.raises(DomainError):
-        count(-1)
 
 
 @given(

@@ -1028,12 +1028,12 @@ class TestPowerReport:
             SUPERCONDUCTING_4K,
             budget=wall,  # budget set exactly at consumption
             n_neurons=graph.n,
-            fanout=fanout,
+            n_synapses=graph.edge_count,
         )
         assert report.budget_utilization == pytest.approx(1.0, rel=1e-9)
         # At full utilization the supported rate matches the realized
         # per-neuron transmission rate.
-        realized = ledger.counters.transmissions / (graph.n * fanout * 1e-3)
+        realized = ledger.counters.transmissions / (graph.edge_count * 1e-3)
         assert report.predicted_max_rate == pytest.approx(realized, rel=1e-9)
 
     def test_density_check(self):

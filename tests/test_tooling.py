@@ -56,3 +56,29 @@ def test_no_unused_imports():
         if (names := _unused_imports(ast.parse(path.read_text("utf-8"))))
     }
     assert unused == {}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names and attribute names that ``tree`` loads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_no_unread_module_constants():
+    # A module-level UPPER_CASE name in src/oesnn must be read by the package, the tests, the benchmark
+    # or the scripts; an assignment alone does not count.
+    sources = sorted((ROOT / "src" / "oesnn").glob("*.py"))
+    readers = sources + [p for d in ("tests", "perfbench", "scripts") for p in sorted((ROOT / d).glob("*.py"))]
+    read = set().union(*(_reads(ast.parse(path.read_text("utf-8"))) for path in readers))
+    unread = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {target.id}"
+        for path in sources
+        for node in ast.parse(path.read_text("utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.lstrip("_").isupper() and target.id not in read
+    ]
+    assert unread == []
