@@ -10,9 +10,10 @@ Verbs::
     membench [--tech FILE]           score memory technologies
 
 Exit codes: 0 success, 2 usage error (such as a ``calc`` parameter that
-is not a finite number), 3 an invalid scenario document or technology
-table, 4 simulation error (for example an exceeded event budget).  The default
-output directory is $OESNN_OUT or ./out.
+is not a finite number, or an output path that cannot be written), 3 an
+invalid scenario document or technology table, 4 simulation error (for
+example an exceeded event budget).  The default output directory is
+$OESNN_OUT or ./out.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .platforms import (
     power_density_spike_limit,
     sc_max_time_constant,
     squid_from_critical_current,
+    wall_power,
     CMOS_TIME_CONSTANT_DEFAULTS,
     SC_TIME_CONSTANT_DEFAULTS,
     CmosTimeConstantSpec,
@@ -269,7 +271,7 @@ FORMULAS: dict[str, Formula] = {
             "cold": (None, "cold-stage power in watts"),
             "specific": (SUPERCONDUCTING_4K.specific_power, "refrigeration W per W"),
         },
-        lambda p: {"wall_power": Quantity(p["cold"] * p["specific"], (2, 1, -3, 0, 0))},
+        lambda p: {"wall_power": wall_power(p["cold"], p["specific"])},
     ),
     "max-rate": Formula(
         "budget-limited mean spike rate P/(N*fanout*E)",
@@ -680,15 +682,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:  # an input that cannot be read is a ConfigError, so this is an output
+        print(f"usage error: cannot write {exc.filename or 'an output'}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_EXIT
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return VALIDATION_EXIT
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return SIMULATION_EXIT

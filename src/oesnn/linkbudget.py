@@ -112,24 +112,29 @@ class OpticalLink:
         raise DomainError("n_ph must be set for single-photon-detector links")
 
 
-def miss_probability(n_ph, eta_d) -> float:
-    """Probability that a spike delivers zero detected photons.
-
-    Poisson photon statistics with mean ``n_ph`` thinned by detection
-    efficiency ``eta_d`` give exp(-n_ph * eta_d).
-    """
+def _mean_detected(n_ph, eta_d) -> float:
+    """``n_ph * eta_d``: the mean detected photons of ``n_ph`` >= 0 photons at an efficiency ``eta_d`` in [0, 1]."""
     n = si_value(n_ph, DIMENSIONLESS, "n_ph")
     e = si_value(eta_d, DIMENSIONLESS, "eta_d")
     if n < 0:
         raise DomainError(f"n_ph must be non-negative, got {n}")
     if not 0.0 <= e <= 1.0:
         raise DomainError(f"eta_d must lie in [0, 1], got {e}")
-    return math.exp(-n * e)
+    return n * e
+
+
+def miss_probability(n_ph, eta_d) -> float:
+    """Probability that a spike delivers zero detected photons.
+
+    Poisson photon statistics with mean ``n_ph`` thinned by detection
+    efficiency ``eta_d`` give exp(-n_ph * eta_d).
+    """
+    return math.exp(-_mean_detected(n_ph, eta_d))
 
 
 def detection_probability(n_ph, eta_d) -> float:
     """Complement of :func:`miss_probability`."""
-    return -math.expm1(-si_value(n_ph, DIMENSIONLESS) * si_value(eta_d, DIMENSIONLESS))
+    return -math.expm1(-_mean_detected(n_ph, eta_d))
 
 
 def photons_for_reliability(p_detect, eta_d) -> float:

@@ -95,11 +95,11 @@ PROFILES: dict[str, PlatformProfile] = {
 }
 
 
-def wall_power(cold, profile: PlatformProfile) -> Quantity:
+def wall_power(cold, specific_power: float) -> Quantity:
     """Room-temperature power (or energy) needed to sustain cold dissipation.
 
-    Accepts a power or an energy quantity and scales it by the profile's
-    specific power; the semiconductor profile is the identity.
+    Accepts a power or an energy quantity and scales it by a profile's
+    ``specific_power``, which is 1 for the semiconductor profile.
     """
     if isinstance(cold, Quantity) and cold.dim == ENERGY:
         value = cold.value
@@ -109,7 +109,7 @@ def wall_power(cold, profile: PlatformProfile) -> Quantity:
         dim = POWER
     if value < 0:
         raise DomainError("cold dissipation must be non-negative")
-    return Quantity(value * profile.specific_power, dim)
+    return Quantity(value * specific_power, dim)
 
 
 def _quotient(num: float, den: float, what: str) -> float:

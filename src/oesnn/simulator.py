@@ -13,14 +13,14 @@ A run compiles per-edge arrays, loops over the events, and reports.  The
 transmit delay is one constant, so arrivals come in time order: each spike
 of a neuron with out-edges is one batch of arrivals one delay later, so the
 loop merges the drives' lazy spike trains with a cursor over the spike
-record, and at equal times the forced spikes go first.  A batch of fewer
-than ``_SCALAR_BATCH`` edges is handled one arrival at a time in edge order,
-on scalar views of the run's arrays; a larger one with array operations
-that reproduce that, bit for bit, STDP writes included.  A graph holds each
-(pre, post) pair once, so a spike reaches each post neuron at most once.
-The loop alone enforces the event budget: it cuts a batch that would
-exceed it, and a train is drawn only as far as the loop reads it.  An STDP
-write that faults stops the run.
+record, and at equal times the forced spikes go first.  A batch of a
+plastic run, or of fewer than ``_SCALAR_BATCH`` edges, is handled one
+arrival at a time in edge order, on scalar views of the run's arrays; any
+other with array operations that reproduce that, bit for bit.  A graph
+holds each (pre, post) pair once, so a spike reaches each post neuron at
+most once.  The loop alone enforces the event budget: it cuts a batch that
+would exceed it, and a train is drawn only as far as the loop reads it.  An
+STDP write that faults stops the run.
 
 Synaptic memory is kept as per-edge columns (level, weight, write count,
 degraded flag and parameter group, see ``plasticity.MemoryColumns``), and
@@ -70,8 +70,8 @@ from .linkbudget import (
 )
 from .netgen import NetworkGraph
 from .plasticity import MemoryColumns, StdpParams, loop_write_energy
-from .platforms import SUPERCONDUCTING_4K, PlatformProfile, fluxon_budget, max_average_spike_rate
-from .quantities import FLUX_QUANTUM
+from .platforms import SUPERCONDUCTING_4K, PlatformProfile, fluxon_budget, max_average_spike_rate, wall_power
+from .quantities import ENERGY, FLUX_QUANTUM, Quantity
 from .rng import substream
 
 
@@ -238,7 +238,7 @@ class EnergyLedger:
         return sum(getattr(self, c) for c in self.COLD_CATEGORIES)
 
     def wall_total(self, profile: PlatformProfile) -> float:
-        return self.cold_total() * profile.specific_power + self.static_leakage
+        return wall_power(Quantity(self.cold_total(), ENERGY), profile.specific_power).value + self.static_leakage
 
     def categories(self) -> dict[str, float]:
         return {c: getattr(self, c) for c in self.COLD_CATEGORIES + ("static_leakage",)}
@@ -435,12 +435,12 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
 
 _DRAW_CHUNK = 4096  # random values drawn at a time: detection outcomes, and a rate drive's gaps
 _TRACE_EVENTS = 32  # events an error reports
-# Batches of fewer edges take the scalar handler.  The scalar handler pays
-# no fixed NumPy cost per batch but more per edge: it is the faster one up
-# to about 20 edges without plasticity and about 50 with STDP, and at 32
-# neither is more than about 1.3x slower than the other.  The benchmark's
-# stdp-semi batches (1 to 24 edges) and fanout-sc batches (62 to 141 edges)
-# fall on either side, so each handler is measured.
+# Without plasticity, batches of fewer edges take the scalar handler, which
+# pays no fixed NumPy cost per batch but more per edge: it is the faster one
+# up to about 20 edges, and at 32 neither is more than 1.3x slower.  Every
+# plastic batch takes it too, so one handler applies each pairing at an
+# arrival: a pairing is a scalar write in either handler, so the array one
+# gains only past about 50 edges, a fan-out no workload runs with STDP.
 _SCALAR_BATCH = 32
 
 
@@ -453,11 +453,12 @@ def _loop(c: _Compiled) -> None:
     batches come in time order; at equal times the forced spikes go first.
 
     Two handlers take the batches and give the same bytes: ``arrive_each``,
-    one arrival at a time on memoryviews of the run's arrays, takes a batch
-    of fewer than ``_SCALAR_BATCH`` edges, and ``arrive``, with array
-    operations whose fixed cost only a larger batch repays, takes the rest.
-    Both share the state, the detection stream, ``fire`` and ``stdp_write``,
-    and the budget is enforced before either runs.
+    one arrival at a time on memoryviews of the run's arrays, takes every
+    batch of a plastic run and any batch of fewer than ``_SCALAR_BATCH``
+    edges, and ``arrive``, with array operations whose fixed cost only a
+    larger batch repays, takes the rest.  Both share the state, the
+    detection stream and ``fire``; STDP writes come only from ``fire`` and
+    ``arrive_each``, and the budget is enforced before either runs.
 
     A batch is only counted, and no membrane is checked: event times are at most the finite
     duration, so each decay lies in [0, 1], each increment in [-1, 1], and no membrane leaves float range.
@@ -476,14 +477,13 @@ def _loop(c: _Compiled) -> None:
     dead_time, max_fluxons = c.dead_time, c.max_fluxons
     # Only a dead time reads the last detection, and only STDP the last arrival.
     last_detection = np.full(n_edges, -math.inf) if dead_time else None
-    last_pre_event = np.full(n_edges, -math.inf) if plasticity is not None else None
     # Scalar views of the same arrays, named with a trailing underscore: an
     # item is a Python float or int, at half the cost of a NumPy scalar.
     membrane_, membrane_t_, last_spike_ = map(memoryview, (membrane, membrane_t, last_spike))
     det_count_, sup_count_, write_count_ = map(memoryview, (det_count, sup_count, c.write_count))
     increment_, sign_, weight_, level_ = map(memoryview, (increment, c.sign, memory.weight, memory.level))
     last_detection_ = memoryview(last_detection) if dead_time else None
-    last_pre_event_ = memoryview(last_pre_event) if plasticity is not None else None
+    last_pre_event_ = memoryview(np.full(n_edges, -math.inf)) if plasticity is not None else None
     stochastic = c.poisson_need is not None or c.p_detect < 1.0
     # Nothing else reads the detect stream, and a chunked draw gives the
     # values of one long draw, so outcomes are drawn ahead and used in order.
@@ -551,9 +551,8 @@ def _loop(c: _Compiled) -> None:
         """Arrivals of one spike at time ``t``, each post neuron hit at most once.
 
         The result equals handling the arrivals one at a time in edge
-        order: each post neuron sees only its own arrival, and a spike or
-        STDP write at one post neuron changes only that neuron and its
-        in-edges, none of which is a later edge of the batch.
+        order: each post neuron sees only its own arrival, and a spike
+        changes only the neuron that fires.  Runs without plasticity only.
         """
         posts = post[edges]
         # Arrivals come in time order, so a zero dead time (a photodiode's)
@@ -579,27 +578,16 @@ def _loop(c: _Compiled) -> None:
         values = membrane[posts] * decay + increment[edges]
         membrane[posts] = values
         membrane_t[posts] = t
-        above = values >= threshold
-        if plasticity is None:
-            for v in posts[above].tolist():
-                if t - last_spike_[v] >= refractory:
-                    fire(v, t)
-            return
-        # In edge order: depress the edge if its post neuron has spiked,
-        # then fire that neuron if it crossed, so the STDP noise draws keep
-        # their order.
-        last_pre_event[edges] = t
-        for e, v, up in zip(edges.tolist(), posts.tolist(), above.tolist()):
-            if last_spike_[v] > -math.inf:
-                stdp_write(e, t, last_spike_[v])
-            if up and t - last_spike_[v] >= refractory:
+        for v in posts[values >= threshold].tolist():
+            if t - last_spike_[v] >= refractory:
                 fire(v, t)
 
     def arrive_each(t: float, edges: np.ndarray) -> None:
         """The arrivals of ``arrive``, one at a time in edge order on the scalar views.
 
-        As in ``arrive``, detection outcomes are drawn only for the arrivals
-        the dead time leaves.
+        Each detected arrival also applies its edge's STDP pairing.  As in
+        ``arrive``, detection outcomes are drawn only for the arrivals the
+        dead time leaves.
         """
         batch = zip(edges.tolist(), post[edges].tolist())
         if dead_time:
@@ -663,7 +651,7 @@ def _loop(c: _Compiled) -> None:
         processed += edges.size
         if edges.size:  # a batch cut to nothing would push a real event out of the trace
             trace.append((arrival, "arrivals", edges))
-        (arrive_each if edges.size < _SCALAR_BATCH else arrive)(arrival, edges)
+        (arrive_each if plasticity is not None or edges.size < _SCALAR_BATCH else arrive)(arrival, edges)
         if over:
             raise over_budget()
 

@@ -1,10 +1,11 @@
 """The simulator's event loop written one arrival at a time, as a test reference.
 
-``simulator._loop`` handles the arrivals of one spike together, with array
-operations or, in a batch of fewer than ``simulator._SCALAR_BATCH`` edges,
-one at a time on memoryviews; it writes STDP on per-edge memory columns,
-and only counts events: ``simulator._report`` derives each edge's misses
-and prices the energy ledger from the counts.  This module handles the
+``simulator._loop`` handles the arrivals of one spike together, one at a
+time on memoryviews in a plastic run or a batch of fewer than
+``simulator._SCALAR_BATCH`` edges, else with array operations; it writes
+STDP on per-edge memory columns, and only counts events:
+``simulator._report`` derives each edge's misses and prices the energy
+ledger from the counts.  This module handles the
 same events the plain way: forced spikes and arrivals merged in time order
 through a queue, each arrival on its own, in edge order, with scalar draws
 from the detection stream, on one scalar memory cell per edge that

@@ -70,7 +70,7 @@ def test_criterion_02_receiverless_energy_and_photons():
 def test_criterion_03_reset_energy_and_wall_floor():
     reset = snspd_reset_energy(100e-9, 10e-6)
     assert reset.value == 5e-18
-    wall = wall_power(Quantity(reset.value, ENERGY), SUPERCONDUCTING_4K)
+    wall = wall_power(Quantity(reset.value, ENERGY), SUPERCONDUCTING_4K.specific_power)
     assert wall.value >= 1e-15
     _ok(3, f"reset energy {reset.value:.3e} J, wall energy {wall.value:.3e} J >= 1 fJ")
 

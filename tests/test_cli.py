@@ -49,6 +49,25 @@ def test_default_out_dir_from_env(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "fig7.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (("figure", "fig3", "--out", "{file}"), "{file}"),
+        (("validate-eq6", "--n", "100", "--k", "4", "--seeds", "1", "--out", "{file}"), "{file}"),
+        (("simulate", "--config", "two-synapse-coincidence", "--out", "{file}/sub"), "{file}/sub"),
+        (("simulate", "--config", "two-synapse-coincidence", "--out", "{dir}"), "{dir}/spikes.csv"),
+    ],
+)
+def test_unwritable_output_usage_error(capsys, tmp_path, argv, blocked):
+    # A file in the way, not a permission: chmod does not stop root.
+    paths = {"file": tmp_path / "file", "dir": tmp_path / "dir"}
+    paths["file"].write_text("")
+    (paths["dir"] / "spikes.csv").mkdir(parents=True)
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert blocked.format(**paths) in err and "Traceback" not in err
+
+
 class TestCalc:
     def test_eq6_headline(self, capsys):
         code, out, _ = run_cli(capsys, "calc", "eq6", "--n", "1e6", "--L", "3")
@@ -119,6 +138,11 @@ class TestCalc:
         code, out, err = run_cli(capsys, "calc", *argv)
         assert code == 2 and out == ""
         assert f"the {what} is out of float range" in err
+
+    def test_negative_cold_dissipation_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "calc", "wall", "--cold", "-1")
+        assert code == 2 and out == ""
+        assert "cold dissipation must be non-negative" in err
 
 
 # calc parameter -> record field, for the formulas whose defaults are a record's fields.

@@ -12,6 +12,7 @@ from oesnn.linkbudget import (
     OpticalLink,
     ReceiverlessPhotodiode,
     SnspdReceiver,
+    detection_probability,
     implied_photon_count,
     link_detection_probability,
     link_source_energy,
@@ -40,8 +41,10 @@ class TestMissProbability:
         assert miss_probability(math.log(100), 1.0) == pytest.approx(0.01, rel=1e-12)
 
     def test_negative_photons_rejected(self):
-        with pytest.raises(DomainError):
-            miss_probability(-1, 0.7)
+        for probability in (miss_probability, detection_probability):
+            for n_ph, eta_d in ((-1, 0.7), (-5, 2), (1, 1.5), (1, -0.1)):
+                with pytest.raises(DomainError):
+                    probability(n_ph, eta_d)
 
     @given(
         n=st.floats(min_value=0.01, max_value=50),

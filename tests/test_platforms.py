@@ -43,20 +43,20 @@ class TestCarnot:
 
 class TestWallPower:
     def test_energy_inflation(self):
-        w = wall_power(Quantity(1e-18, ENERGY), SUPERCONDUCTING_4K)
+        w = wall_power(Quantity(1e-18, ENERGY), SUPERCONDUCTING_4K.specific_power)
         assert w.dim == ENERGY
         assert w.value == pytest.approx(1e-15, rel=1e-12)
 
     def test_identity_for_room_temperature(self):
-        assert wall_power(3.0, SEMICONDUCTOR_300K).value == 3.0
+        assert wall_power(3.0, SEMICONDUCTOR_300K.specific_power).value == 3.0
 
     def test_linearity(self):
-        assert wall_power(Quantity(5e-18, ENERGY), SUPERCONDUCTING_4K).value == pytest.approx(
+        assert wall_power(Quantity(5e-18, ENERGY), SUPERCONDUCTING_4K.specific_power).value == pytest.approx(
             5e-15, rel=1e-12
         )
 
     def test_power_dimension_default(self):
-        assert wall_power(2.0, SUPERCONDUCTING_4K).dim == POWER
+        assert wall_power(2.0, SUPERCONDUCTING_4K.specific_power).dim == POWER
 
 
 class TestProfiles:

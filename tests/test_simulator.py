@@ -735,12 +735,13 @@ class TestGuards:
 class TestBatchedArrivals:
     """``run()`` against the arrival-by-arrival loop in ``reference_loop``, on fixed cases.
 
-    ``run()`` handles each spike's arrivals as one batch, with array
-    operations or, below ``_SCALAR_BATCH`` edges, one at a time on scalar
-    views; it writes STDP on the memory columns and prices its ledger once
-    from event counts.  The cases include every ER document whose output
-    bytes ``test_golden`` pins, among them one whose out-degrees straddle
-    the cut, and a plastic variant of that one.
+    ``run()`` handles each spike's arrivals as one batch, one at a time on
+    scalar views in a plastic run or below ``_SCALAR_BATCH`` edges, else
+    with array operations; it writes STDP on the memory columns and prices
+    its ledger once from event counts.  The cases include every ER document
+    whose output bytes ``test_golden`` pins, among them one whose
+    out-degrees straddle the cut, and a plastic variant of that one, whose
+    batches on both sides of the cut all take the scalar handler.
     """
 
     CASES = [
@@ -804,12 +805,23 @@ class TestBatchedArrivals:
         assert counters["detections"] > 0
         assert (counters["stdp_writes"] > 0) == (config.plasticity is not None)
 
-    def test_straddling_document_takes_both_handlers(self):
-        graph, config = self._case("er-straddle-cut")
+    @staticmethod
+    def _batch_sizes(case):
+        """The edge count of each batch the run of ``case`` delivers."""
+        graph, config = TestBatchedArrivals._case(case)
         spikes, _, _ = run(graph, config)
-        out_degree = np.bincount(graph.pre, minlength=graph.n)
-        batches = out_degree[np.asarray(spikes.neurons)]
-        batches = batches[batches > 0]
+        delivered = np.asarray(spikes.times) + config.neuron.transmit_delay <= config.duration
+        batches = np.bincount(graph.pre, minlength=graph.n)[np.asarray(spikes.neurons)[delivered]]
+        return batches[batches > 0]
+
+    def test_straddling_document_takes_both_handlers(self):
+        batches = self._batch_sizes("er-straddle-cut")
+        assert batches.min() < simulator._SCALAR_BATCH <= batches.max()
+
+    def test_plastic_straddle_has_batches_on_both_sides_of_the_cut(self):
+        # Every plastic batch takes the scalar handler, so this case checks it on
+        # batches of the array handler's size against reference_run.
+        batches = self._batch_sizes("straddle-stdp")
         assert batches.min() < simulator._SCALAR_BATCH <= batches.max()
 
     @pytest.mark.parametrize("lam", [0.3, 4.9, 50.0, 5000.0, None])
@@ -853,8 +865,10 @@ def small_runs(draw):
     """A small valid (graph, config) pair.
 
     Half the graphs have a hub, neuron 0, whose out-degree is at least
-    ``_SCALAR_BATCH`` and which the first drive forces, so that its batches
-    take the array handler and the other neurons' batches the scalar one.
+    ``_SCALAR_BATCH`` and which the first drive forces.  Every batch of a
+    plastic run takes the scalar handler, so half the hub runs that do not
+    fault have no plasticity: there the hub's batches take the array
+    handler and the other neurons' batches the scalar one.
 
     A quarter of the runs are built to fault: analog cells of endurance 1
     under STDP that faults, and drives that fire some post neurons of one
@@ -910,7 +924,7 @@ def small_runs(draw):
         link = OpticalLink(eta=0.01, n_ph=n_ph, receiver=ReceiverlessPhotodiode(), stochastic=draw(st.booleans()))
         profile = SEMICONDUCTOR_300K
     plasticity = None
-    if faulting or draw(st.integers(0, 2)) < 2:
+    if faulting or (draw(st.booleans()) if hub else draw(st.integers(0, 2)) < 2):
         plasticity = StdpParams(
             a_plus=draw(st.sampled_from([0.05, 1.0, 3.0])),
             a_minus=draw(st.sampled_from([0.05, 1.0, 3.0])),

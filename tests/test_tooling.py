@@ -1,11 +1,19 @@
 """Checks on the sources and the benchmark harness that need no run."""
 
 import ast
+import hashlib
 import importlib
+import runpy
+import sys
 from pathlib import Path
+
+import pytest
+
+from test_figures import FIGURE_DIGESTS
 
 ROOT = Path(__file__).parents[1]
 WORKER = ROOT / "perfbench" / "worker.py"
+FIGURE_SCRIPT = ROOT / "scripts" / "make_figure_datasets.py"
 
 
 def _dotted(node: ast.expr) -> str:
@@ -82,3 +90,13 @@ def test_no_unread_module_constants():
         if isinstance(target, ast.Name) and target.id.lstrip("_").isupper() and target.id not in read
     ]
     assert unread == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_script_writes_the_golden_figures(fmt, tmp_path, monkeypatch):
+    # Every bundled figure, each with the bytes of ``oesnn figure`` without overrides.
+    monkeypatch.setattr(sys, "argv", [str(FIGURE_SCRIPT), "--out", str(tmp_path), "--format", fmt])
+    runpy.run_path(str(FIGURE_SCRIPT), run_name="__main__")
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    golden = {f"{fig}.{form}": digest for (fig, form, sets), digest in FIGURE_DIGESTS.items() if form == fmt and not sets}
+    assert written == golden
