@@ -1,9 +1,10 @@
 """Optical receiver and transmitter energy/power models.
 
 Covers both receiver families: current-biased superconducting nanowire
-single-photon detectors (Poisson-limited, few photons per spike) and
-receiverless photodiodes that charge a logic gate directly (thousands of
-photons per spike).  All energies here are per spike per synapse; cooling
+single-photon detectors (a few Poisson photons per spike, detected with
+:func:`detection_probability`) and receiverless photodiodes that charge a
+logic gate directly (thousands of photons per spike: a stochastic run draws
+their Poisson count).  All energies here are per spike per synapse; cooling
 inflation is applied separately by the platform layer.
 """
 
@@ -27,8 +28,7 @@ from .quantities import (
 )
 
 DEFAULT_WAVELENGTH = 1.5e-6  # m
-# Largest mean NumPy's Poisson sampler takes: the detection draw of a
-# stochastic photodiode link samples Poisson(n_ph).
+# Largest mean NumPy's Poisson sampler takes: a stochastic photodiode link draws Poisson(n_ph).
 POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
@@ -228,34 +228,3 @@ def source_energy_per_spike(link: OpticalLink) -> Quantity:
         return link_source_energy(link.mean_photons(), link.wavelength, link.eta)
     return receiverless_optical_energy(link.receiver, link.eta, link.wavelength)
 
-
-def link_detection_probability(link: OpticalLink) -> float:
-    """Per-spike detection probability under the link's statistics model."""
-    if isinstance(link.receiver, SnspdReceiver):
-        if not link.stochastic:
-            return 1.0
-        return detection_probability(link.mean_photons(), link.receiver.eta_d)
-    if not link.stochastic:
-        return 1.0
-    # Threshold receiver: detection requires at least the full charging
-    # photon count out of a Poisson arrival distribution.
-    need = math.ceil(implied_photon_count(link.receiver, link.wavelength))
-    mean = link.mean_photons()
-    if need <= 0:
-        return 1.0
-    if mean == 0.0:
-        return 0.0
-    # P(Poisson(mean) >= need): accumulate the CDF in log space so that
-    # thousand-photon links do not underflow.  Only the terms within
-    # 40 sqrt(mean) + 40 photons of the mean are summed: the others are
-    # too small to change the float sum, so the loop is bounded in need.
-    spread = 40.0 * math.sqrt(mean) + 40.0
-    lo = max(0, math.floor(mean - spread))
-    if need <= lo:
-        return 1.0
-    log_mean = math.log(mean)
-    log_cdf = -math.inf
-    for k in range(lo, min(need, math.ceil(mean + spread))):
-        log_term = -mean + k * log_mean - math.lgamma(k + 1)
-        log_cdf = max(log_cdf, log_term) + math.log1p(math.exp(-abs(log_cdf - log_term)))
-    return max(0.0, -math.expm1(log_cdf))

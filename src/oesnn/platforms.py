@@ -99,8 +99,10 @@ def wall_power(cold, specific_power: float) -> Quantity:
     """Room-temperature power (or energy) needed to sustain cold dissipation.
 
     Accepts a power or an energy quantity and scales it by a profile's
-    ``specific_power``, which is 1 for the semiconductor profile.
+    ``specific_power``, at least 1 W per W: 1 for the semiconductor profile.
     """
+    if not specific_power >= 1:
+        raise DomainError(f"specific_power must be at least 1 W per W, got {specific_power}")
     if isinstance(cold, Quantity) and cold.dim == ENERGY:
         value = cold.value
         dim = ENERGY

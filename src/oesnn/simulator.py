@@ -3,9 +3,10 @@
 Execution is event-driven with exact closed-form exponential decay between
 events; there is no global timestep.  A spike at neuron j costs source
 optical energy for every outgoing synapse, and all of its synapses see it
-one transmit delay later.  Each arrival runs the receiver's detection
-model (Bernoulli for single-photon detectors, Poisson threshold or
-deterministic for photodiodes), suppressed during the detector dead time.
+one transmit delay later.  Outside the detector dead time, an arrival is
+detected by a single-photon detector with the chance of at least one
+detected photon, by a stochastic photodiode when a Poisson photon count
+reaches its charging need, and always by a deterministic link.
 A detection adds the synapse's signed weight to the soma membrane, a leaky
 integrator that fires on threshold, resets, and honors a refractory period.
 
@@ -26,12 +27,12 @@ Synaptic memory is kept as per-edge columns (level, weight, write count,
 degraded flag and parameter group, see ``plasticity.MemoryColumns``), and
 STDP writes one edge at a time with scalar arithmetic on them.  Detection
 outcomes are drawn ahead in chunks and used in order.  The loop records
-events and nothing else: the spikes, per-edge counts of detections,
-suppressions and writes, and the loop-memory levels STDP moved.  An edge's
-misses are the batches of its pre neuron less its detections and
-suppressions.  Its fluxons are its detections times the fluxons per
-detection of its final weight, plus a correction STDP adds when it moves
-that rate.
+events and nothing else: the spikes, per-edge counts of detections and
+suppressions, and the loop-memory levels STDP moved; the memory columns
+count the writes.  An edge's misses are the batches of its pre neuron
+less its detections and suppressions.  Its fluxons are its detections
+times the fluxons per detection of its final weight, plus a correction
+STDP adds when it moves that rate.
 
 Model conventions (everything below is exact for the event sequence):
  - threshold crossings are evaluated at detection events;
@@ -62,8 +63,8 @@ from .linkbudget import (
     OpticalLink,
     ReceiverlessPhotodiode,
     SnspdReceiver,
+    detection_probability,
     implied_photon_count,
-    link_detection_probability,
     photodiode_static_power,
     snspd_reset_energy,
     source_energy_per_spike,
@@ -280,8 +281,8 @@ class SpikeRecord:
 class SynapseReport:
     """Per-synapse counters and final memory state, plus the update-count estimate.
 
-    Every per-edge value is an array: the counters are the run's, and ``memory`` holds the final
-    memory columns.
+    Every per-edge value is an array: the counters are the run's, ``memory`` holds the final
+    memory columns, and ``writes`` is their own write count.
     """
 
     pre: np.ndarray
@@ -347,14 +348,13 @@ class _Compiled:
     fluxon_energy: float
     forced: Iterator[tuple[float, int]]  # (time, neuron) of the drive spikes in (time, drive, position) order
     e_source: float
-    p_detect: float  # a single-photon link's; 1.0 for a photodiode, which draws against poisson_need
+    p_detect: float  # a stochastic single-photon link's; 1.0 for any other link
     poisson_need: int | None  # photons a stochastic photodiode needs; None otherwise
     dead_time: float
     e_reset: float
     tau_soma: float
     det_count: np.ndarray
     sup_count: np.ndarray
-    write_count: np.ndarray
     fluxon_correction: np.ndarray  # float64 whole values
     spikes: SpikeRecord
     levels_moved: int = 0  # loop-memory levels STDP moved, over all writes
@@ -398,8 +398,10 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         train = drive.spikes(config.duration, substream(config.seed, "input", i))
         trains.append(zip(train, itertools.repeat(drive.neuron)))
 
-    poisson_need = None
-    if not is_snspd and link.stochastic:
+    p_detect, poisson_need = 1.0, None
+    if link.stochastic and is_snspd:
+        p_detect = detection_probability(link.mean_photons(), link.receiver.eta_d)
+    elif link.stochastic:
         poisson_need = math.ceil(implied_photon_count(link.receiver, link.wavelength))
     return _Compiled(
         graph=graph,
@@ -420,14 +422,13 @@ def _compile(graph: NetworkGraph, config: SimConfig) -> _Compiled:
         fluxon_energy=config.energy.i_c * FLUX_QUANTUM.value,
         forced=heapq.merge(*trains, key=itemgetter(0)),  # stable: at equal times, drives keep their order
         e_source=source_energy_per_spike(link).value,
-        p_detect=link_detection_probability(link) if is_snspd else 1.0,
+        p_detect=p_detect,
         poisson_need=poisson_need,
         dead_time=link.receiver.reset_time if is_snspd else 0.0,
         e_reset=snspd_reset_energy(link.receiver.l_spd, link.receiver.i_spd).value if is_snspd else 0.0,
         tau_soma=tau_soma,
         det_count=np.zeros(n_edges, dtype=np.int64),
         sup_count=np.zeros(n_edges, dtype=np.int64),
-        write_count=np.zeros(n_edges, dtype=np.int64),
         fluxon_correction=np.zeros(n_edges),
         spikes=SpikeRecord(),
     )
@@ -480,7 +481,7 @@ def _loop(c: _Compiled) -> None:
     # Scalar views of the same arrays, named with a trailing underscore: an
     # item is a Python float or int, at half the cost of a NumPy scalar.
     membrane_, membrane_t_, last_spike_ = map(memoryview, (membrane, membrane_t, last_spike))
-    det_count_, sup_count_, write_count_ = map(memoryview, (det_count, sup_count, c.write_count))
+    det_count_, sup_count_ = memoryview(det_count), memoryview(sup_count)
     increment_, sign_, weight_, level_ = map(memoryview, (increment, c.sign, memory.weight, memory.level))
     last_detection_ = memoryview(last_detection) if dead_time else None
     last_pre_event_ = memoryview(np.full(n_edges, -math.inf)) if plasticity is not None else None
@@ -514,7 +515,7 @@ def _loop(c: _Compiled) -> None:
                     stdp_write(e, last_pre_event_[e], t)
 
     def stdp_write(e: int, pre_t: float, post_t: float) -> None:
-        """Apply the STDP pairing of edge ``e`` to its memory and count the write."""
+        """Apply the STDP pairing of edge ``e`` to its memory, which counts the write, and follow its weight."""
         old_weight = weight_[e]
         try:
             applied = memory.write(e, pre_t, post_t, plasticity, rng_noise)
@@ -525,7 +526,6 @@ def _loop(c: _Compiled) -> None:
             raise SimulationError(f"synapse {e}: {exc}", tail()) from None
         if applied == 0.0:
             return
-        write_count_[e] += 1
         weight, level = weight_[e], level_[e]
         increment_[e] = sign_[e] * weight
         if level >= 0:
@@ -617,7 +617,7 @@ def _loop(c: _Compiled) -> None:
 
     def over_budget() -> SimulationError:
         return SimulationError(
-            f"event budget exceeded ({config.max_events} events); raise max_events or shorten the run",
+            f"event budget exceeded ({config.max_events} events); shorten the run's duration or thin its inputs",
             tail(),
         )
 
@@ -677,7 +677,7 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
         detections=c.det_count,
         misses=batches[graph.pre] - c.det_count - c.sup_count,
         suppressed=c.sup_count,
-        writes=c.write_count,
+        writes=c.memory.writes,
         memory=c.memory,
         sqrt_fanin_update_estimate=estimate,
     )
@@ -688,7 +688,7 @@ def _report(c: _Compiled) -> tuple[SpikeRecord, EnergyLedger, SynapseReport]:
         detections=int(c.det_count.sum()),
         misses=int(report.misses.sum()),
         suppressed=int(c.sup_count.sum()),
-        stdp_writes=int(c.write_count.sum()),
+        stdp_writes=int(c.memory.writes.sum()),
     )
     write_energy = getattr(config.plasticity, "write_energy", None)
     if write_energy is None:

@@ -126,16 +126,16 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
             queue.append((t + neuron.transmit_delay, v))
 
     def stdp_write(e: int, pre_t: float, post_t: float) -> None:
-        """Apply one pairing to the cell of edge ``e`` and account the write; a fault names the synapse."""
+        """Apply one pairing to the cell of edge ``e``, and account the write if the cell counts one."""
+        old = cells[e]
         try:
-            cells[e], applied = apply_stdp(pre_t, post_t, cells[e], plasticity, rng_noise)
+            cells[e], applied = apply_stdp(pre_t, post_t, old, plasticity, rng_noise)
         except DomainError as exc:  # an analog cell out of endurance, with on_exhaustion "fault"
             raise SimulationError(f"synapse {e}: {exc}", trace) from None
-        if applied == 0.0:
-            return
-        c.write_count[e] += 1
-        counters.stdp_writes += 1
         cell = cells[e]
+        if cell.write_count == old.write_count:
+            return
+        counters.stdp_writes += 1
         if isinstance(cell, LoopMemory):
             c.levels_moved += abs(int(applied))
         if plasticity.write_energy is not None:
@@ -188,7 +188,7 @@ def _reference_loop(c: _Compiled) -> tuple[list[MemoryCell], np.ndarray, EnergyL
         processed += 1
         if processed > config.max_events:
             raise SimulationError(
-                f"event budget exceeded ({config.max_events} events); raise max_events or shorten the run",
+                f"event budget exceeded ({config.max_events} events); shorten the run's duration or thin its inputs",
                 trace,
             )
 

@@ -144,6 +144,13 @@ class TestCalc:
         assert code == 2 and out == ""
         assert "cold dissipation must be non-negative" in err
 
+    @pytest.mark.parametrize("specific", ["-5", "0.5"])
+    def test_specific_power_below_one_usage_error(self, capsys, specific):
+        # Refrigeration takes at least the watt it removes, as a platform profile requires.
+        code, out, err = run_cli(capsys, "calc", "wall", "--cold", "1", "--specific", specific)
+        assert code == 2 and out == ""
+        assert "specific_power must be at least 1 W per W" in err
+
 
 # calc parameter -> record field, for the formulas whose defaults are a record's fields.
 _PHOTODIODE_PARAMS = {"ctot": "c_tot", "v": "v_swing", "vbias": "v_bias", "ileak": "i_leak"}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oesnn import simulator
 from oesnn.config import build_scenario
 from oesnn.errors import DomainError, SimulationError
-from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver, link_detection_probability
+from oesnn.linkbudget import OpticalLink, ReceiverlessPhotodiode, SnspdReceiver, implied_photon_count
 from oesnn.netgen import NetworkGraph, generate_er
 from oesnn.plasticity import StdpParams
 from oesnn.platforms import SEMICONDUCTOR_300K, SUPERCONDUCTING_4K
@@ -190,6 +190,27 @@ class TestDetectionStatistics:
         assert abs(fraction - p) <= 3 * sigma
         assert ledger.counters.detections + ledger.counters.misses == trials
 
+    @pytest.mark.parametrize("share", [0.99, 1.0, 1.01])
+    def test_poisson_threshold_fraction_within_three_sigma(self, share):
+        # A stochastic photodiode detects an arrival when its Poisson photon count reaches the charging need.
+        trials = 10_000
+        pd = ReceiverlessPhotodiode()
+        need = math.ceil(implied_photon_count(pd))
+        assert need == 4994
+        config = SimConfig(
+            duration=trials * 1e-7 + 1e-6,
+            seed=31,
+            link=OpticalLink(eta=0.01, n_ph=need * share, receiver=pd, stochastic=True),
+            profile=SEMICONDUCTOR_300K,
+            neuron=NeuronParams(threshold=1e9),
+            inputs=(InputDrive(neuron=0, count=trials, interval=1e-7),),
+        )
+        _, ledger, report = run(chain_graph(), config)
+        p = _full_poisson_tail(need * share, need)
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(report.detections[0] / trials - p) <= 3 * sigma
+        assert ledger.counters.detections + ledger.counters.misses == trials
+
     def test_deterministic_photodiode_always_detects(self):
         link = OpticalLink(eta=0.01, receiver=ReceiverlessPhotodiode(), stochastic=False)
         config = SimConfig(
@@ -204,14 +225,9 @@ class TestDetectionStatistics:
         assert report.detections[0] == 100
         assert ledger.counters.misses == 0
 
-    def test_photodiode_run_skips_the_detection_probability(self, monkeypatch):
-        # A stochastic photodiode draws photon counts against its charging threshold, so the run has
-        # no use for the closed-form probability, a sum of one term per photon: 5e9 terms here.
-        def refuse(link):
-            assert isinstance(link.receiver, SnspdReceiver), "the detection probability of a photodiode link"
-            return link_detection_probability(link)
-
-        monkeypatch.setattr(simulator, "link_detection_probability", refuse)
+    def test_photodiode_run_skips_the_detection_probability(self):
+        # A stochastic photodiode draws one Poisson photon count per arrival against its charging threshold,
+        # so a threshold of 5e9 photons costs a run one draw.
         doc = {
             "seed": 1,
             "duration": 1e-6,
@@ -222,6 +238,16 @@ class TestDetectionStatistics:
         }
         _, ledger, _ = run(*build_scenario(doc))
         assert ledger.counters.detections + ledger.counters.misses == 1
+
+
+def _full_poisson_tail(mean: float, need: int) -> float:
+    """P(Poisson(mean) >= need) from every log-space CDF term below ``need``: the chance that a stochastic
+    photodiode detects an arrival, against which the run's photon-count draws are checked."""
+    log_mean, log_cdf = math.log(mean), -math.inf
+    for k in range(need):
+        log_term = -mean + k * log_mean - math.lgamma(k + 1)
+        log_cdf = max(log_cdf, log_term) + math.log1p(math.exp(-abs(log_cdf - log_term)))
+    return max(0.0, -math.expm1(log_cdf))
 
 
 def detection_times(config):
@@ -358,6 +384,27 @@ class TestLedgerExactness:
             assert moved > 0 and ledger.memory_update == moved * 300e-6 * CONSTANTS.phi0
         else:
             assert ledger.memory_update == sum(writes) * 1e-15
+
+    def test_clamped_noisy_write_is_counted_and_priced(self):
+        # At weight 1, potentiation plus noise clamps back to 1: the write changes nothing but wears the cell,
+        # so the report counts and prices it.  Every detection fires neuron 1, and every pairing writes: one at
+        # neuron 1's first spike, then two at each later arrival, the arrival's own pairing and its spike's.
+        trials = 20
+        config = SimConfig(
+            duration=1e-3,
+            seed=3,
+            link=snspd_link(),
+            neuron=NeuronParams(threshold=0.5),
+            synapse=SynapseDefaults(weight=1.0, write_noise_std=0.01),
+            plasticity=StdpParams(a_plus=1.0, a_minus=0.0, tau_plus=1e-6, tau_minus=1e-6, write_energy=1e-15),
+            inputs=(InputDrive(neuron=0, count=trials, interval=1e-6),),
+        )
+        outputs = run(chain_graph(), config)
+        _, ledger, report = outputs
+        counters = assert_same_outputs(config.profile, outputs, reference_run(chain_graph(), config))
+        assert report.writes is report.memory.writes
+        assert report.writes.tolist() == [2 * trials - 1] == [counters["stdp_writes"]]
+        assert ledger.memory_update == counters["stdp_writes"] * 1e-15
 
     def test_static_leakage_closed_form_zero_activity(self):
         pd = ReceiverlessPhotodiode(v_bias=1.0, i_leak=1e-9)

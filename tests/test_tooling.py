@@ -4,16 +4,19 @@ import ast
 import hashlib
 import importlib
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
+from oesnn import cli
 from test_figures import FIGURE_DIGESTS
 
 ROOT = Path(__file__).parents[1]
 WORKER = ROOT / "perfbench" / "worker.py"
 FIGURE_SCRIPT = ROOT / "scripts" / "make_figure_datasets.py"
+README = ROOT / "README.md"
 
 
 def _dotted(node: ast.expr) -> str:
@@ -100,3 +103,15 @@ def test_figure_script_writes_the_golden_figures(fmt, tmp_path, monkeypatch):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
     golden = {f"{fig}.{form}": digest for (fig, form, sets), digest in FIGURE_DIGESTS.items() if form == fmt and not sets}
     assert written == golden
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # Each ``oesnn`` line of the README's CLI block, but the ones naming a file the reader supplies.
+    block = README.read_text("utf-8").split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("oesnn ") and "path/to/" not in line]
+    assert len(lines) == 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OESNN_OUT", raising=False)
+    for line in lines:
+        code = cli.main(shlex.split(line)[1:])
+        assert code == 0, (line, capsys.readouterr().err)
